@@ -58,7 +58,7 @@ func run() error {
 		queue        = flag.Int("queue", 64, "operations that may wait for a worker before 429")
 		cacheEntries = flag.Int("cache-entries", 0, "plan cache entry budget (0 = default 64)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "plan cache byte budget (0 = default 1 GiB)")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "how long the first solve of a batch waits for company (negative disables batching)")
+		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "how long a solve arriving while a sweep of its factor runs waits for company; a solve finding its factor idle runs at once (negative disables batching)")
 		batchLimit   = flag.Int("batch-limit", 64, "flush a batch early at this many right-hand sides")
 		timeout      = flag.Duration("timeout", 60*time.Second, "per-request deadline for heavy work")
 		block        = flag.Int("block", 0, "panel width B of new plans (0 = default 48)")

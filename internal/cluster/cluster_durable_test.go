@@ -136,6 +136,13 @@ func TestClusterDegradedLocalFallbackAndRecovery(t *testing.T) {
 // sequential one to 1e-12.
 func TestClusterNodeRejoinFromSnapshot(t *testing.T) {
 	dirA := t.TempDir()
+	// Open the test's view of node a's store before the node writes to it:
+	// store.Open sweeps leftover temp files, and run while the node is
+	// mid-write it would delete the node's in-flight checkpoint.
+	st, err := store.Open(dirA)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gcfg := GatewayConfig{Procs: 4, HeartbeatTimeout: 3 * time.Second}
 	tc := startCluster(t, gcfg, []NodeConfig{
 		{ID: "a", Workers: 2, StoreDir: dirA},
@@ -145,10 +152,6 @@ func TestClusterNodeRejoinFromSnapshot(t *testing.T) {
 	fr := tc.factor(t, m)
 
 	// The checkpoint is write-behind; wait for it to land on disk.
-	st, err := store.Open(dirA)
-	if err != nil {
-		t.Fatal(err)
-	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, err := st.GetBlocks(fr.ID); err == nil {

@@ -17,6 +17,7 @@ import (
 	"blockfanout/internal/gen"
 	"blockfanout/internal/mapping"
 	"blockfanout/internal/order"
+	"blockfanout/internal/server"
 	"blockfanout/internal/sparse"
 )
 
@@ -134,7 +135,7 @@ func (tc *testCluster) factor(t *testing.T, m *sparse.Matrix) gwFactorResponse {
 
 func (tc *testCluster) solve(t *testing.T, id string, b []float64) []float64 {
 	t.Helper()
-	body, _ := json.Marshal(gwSolveRequest{ID: id, B: b})
+	body, _ := json.Marshal(server.SolveRequest{ID: id, B: b})
 	resp, err := http.Post(tc.ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -443,6 +444,63 @@ func TestClusterRefactorSamePattern(t *testing.T) {
 	x := tc.solve(t, fr2.ID, b)
 	if r := m2.ResidualNorm(x, b); r > 1e-6 {
 		t.Fatalf("refactor solve residual %g against new values", r)
+	}
+}
+
+// TestServerOrderingMatchesGatewayDefault: the single-node service and
+// the gateway analyze under the same ordering, so a pattern served either
+// way has the same fill and flop count.
+func TestServerOrderingMatchesGatewayDefault(t *testing.T) {
+	var gcfg GatewayConfig
+	gcfg.fillDefaults()
+	ts := httptest.NewServer(server.New(server.Config{Procs: 2, BatchWindow: -1}).Handler())
+	defer ts.Close()
+	m := gen.IrregularMesh(300, 6, 3, 21)
+	body, _ := json.Marshal(map[string]any{"n": m.N, "colptr": m.ColPtr, "rowind": m.RowInd, "val": m.Val})
+	resp, err := http.Post(ts.URL+"/v1/factor", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var fr struct {
+		NNZL  int64 `json:"nnz_l"`
+		Flops int64 `json:"flops"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("factor: status %d, decode %v", resp.StatusCode, err)
+	}
+	plan, err := core.NewPlan(m, core.Options{Ordering: gcfg.Ordering})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.NNZL != plan.Exact.NZinL || fr.Flops != plan.Exact.Flops {
+		t.Fatalf("server nnz_l=%d flops=%d; the gateway's default ordering (%v) gives nnz_l=%d flops=%d",
+			fr.NNZL, fr.Flops, gcfg.Ordering, plan.Exact.NZinL, plan.Exact.Flops)
+	}
+}
+
+// TestGatewaySolveBodyContract: the gateway decodes solve bodies with the
+// service's decoder — unknown keys are rejected — and answers a batch
+// ("bs") with a 400 naming the single-RHS form it serves.
+func TestGatewaySolveBodyContract(t *testing.T) {
+	tc := startCluster(t, GatewayConfig{}, nil)
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{`{"id":"feed","b":[1],"extra":0}`, http.StatusBadRequest},
+		{`{"id":"feed","bs":[[1]]}`, http.StatusBadRequest},
+		{`{"id":"feed"}`, http.StatusBadRequest},
+		{`{"id":"feed","b":[1]}`, http.StatusNotFound},
+	} {
+		resp, err := http.Post(tc.ts.URL+"/v1/solve", "application/json", bytes.NewReader([]byte(c.body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d", c.body, resp.StatusCode, c.want)
+		}
 	}
 }
 

@@ -248,7 +248,7 @@ type gwJob struct {
 	// nodes can abort work whose requester already gave up.
 	tenant        string
 	deadlineMicro int64
-	val      []float64 // current run's matrix values (for failover restarts)
+	val           []float64 // current run's matrix values (for failover restarts)
 	// localF is the degraded-mode factor: built in-process when the fleet
 	// is below MinNodes (or restored by WarmStart), it serves solves when no
 	// assembly node holds the distributed factor. Cleared at the start of
@@ -1108,11 +1108,6 @@ func (g *Gateway) abort(j *gwJob, runID uint64, reason string) {
 	}
 }
 
-type gwSolveRequest struct {
-	ID string    `json:"id"`
-	B  []float64 `json:"b"`
-}
-
 type gwSolveResponse struct {
 	ID        string    `json:"id"`
 	X         []float64 `json:"x"`
@@ -1136,9 +1131,13 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req gwSolveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	req, err := server.DecodeSolve(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	if err != nil {
 		g.writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	if req.BS != nil {
+		g.writeErr(w, http.StatusBadRequest, errors.New(`the gateway solves one right-hand side per request: send "b", not "bs"`))
 		return
 	}
 	j := g.jobByID(req.ID)

@@ -694,6 +694,12 @@ func (n *Node) runEpoch(ctx context.Context, cancel context.CancelFunc, j *nodeJ
 			"cluster: node %s job %s epoch %d stalled: no progress for %v",
 			n.cfg.ID, sj.JobID, sj.Epoch, n.cfg.StallTimeout))
 	}
+	if aborted && n.ctx.Err() == nil && sj.DeadlineUnixMicro > 0 &&
+		!time.Now().Before(time.UnixMicro(sj.DeadlineUnixMicro)) {
+		// The gateway's Abort for the expired request beat this epoch's own
+		// deadline timer; the run was still abandoned for the deadline.
+		n.deadlineAborts.Add(1)
+	}
 	j.mu.Unlock()
 	if aborted {
 		return // Abort or shutdown; the gateway does not expect a Done.

@@ -40,9 +40,10 @@ type Options struct {
 	// BlockSize is the target panel width B (default 48). For the irregular
 	// strategy it caps the panel width (blocks.IrregularConfig.MaxPanel).
 	BlockSize int
-	// Ordering selects the fill-reducing ordering (default MinDegree for
-	// general matrices; use NDGrid2D/NDCube3D with GridDim for model
-	// problems, or Natural for dense matrices).
+	// Ordering selects the fill-reducing ordering. The zero value is
+	// Natural (right for dense matrices); the serving tiers (the solve
+	// service and the cluster gateway) select MinDegree for general
+	// matrices, and NDGrid2D/NDCube3D with GridDim suit model problems.
 	Ordering order.Method
 	// GridDim is the grid side length for the geometric orderings.
 	GridDim int

@@ -72,11 +72,11 @@ func TestTenantRateLimitIsolation(t *testing.T) {
 	}
 
 	// Burst of 1: first metered solve passes, second hits the bucket.
-	resp, body := postJSONTenant(t, ts.URL+"/v1/solve", "metered", solveRequest{ID: fr.ID, B: rhs})
+	resp, body := postJSONTenant(t, ts.URL+"/v1/solve", "metered", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first metered solve: %d (%s)", resp.StatusCode, body)
 	}
-	resp, body = postJSONTenant(t, ts.URL+"/v1/solve", "metered", solveRequest{ID: fr.ID, B: rhs})
+	resp, body = postJSONTenant(t, ts.URL+"/v1/solve", "metered", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second metered solve: %d (%s), want 429", resp.StatusCode, body)
 	}
@@ -93,7 +93,7 @@ func TestTenantRateLimitIsolation(t *testing.T) {
 
 	// The unmetered tenant is untouched by the metered tenant's bucket.
 	for i := 0; i < 3; i++ {
-		resp, body = postJSONTenant(t, ts.URL+"/v1/solve", "quiet", solveRequest{ID: fr.ID, B: rhs})
+		resp, body = postJSONTenant(t, ts.URL+"/v1/solve", "quiet", SolveRequest{ID: fr.ID, B: rhs})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("quiet tenant solve %d: %d (%s)", i, resp.StatusCode, body)
 		}
@@ -134,9 +134,15 @@ func TestBatcherExpiredContextNotCoalesced(t *testing.T) {
 	if st := errStatus(out.err); st != http.StatusGatewayTimeout {
 		t.Fatalf("expired-context solve maps to %d, want 504", st)
 	}
-	// Nothing may have been queued for a sweep: wait past the batch window
-	// and confirm no batch ran and no RHS was solved on its behalf.
-	time.Sleep(3 * s.cfg.BatchWindow)
+	// Nothing may have been queued for a sweep: the batcher holds no
+	// pending solve, no armed timer and no sweep, and no RHS was solved on
+	// its behalf.
+	fe.bt.mu.Lock()
+	pending, armed, inflight := len(fe.bt.pending), fe.bt.timer != nil, fe.bt.inflight
+	fe.bt.mu.Unlock()
+	if pending != 0 || armed || inflight != 0 {
+		t.Fatalf("expired request reached the batcher: pending=%d timer armed=%v sweeps=%d", pending, armed, inflight)
+	}
 	after := fetchMetrics(t, ts.URL)
 	if after.Batches != before.Batches || after.SolvedRHS != before.SolvedRHS {
 		t.Fatalf("expired request consumed a sweep: batches %d→%d, solved %d→%d",

@@ -24,18 +24,22 @@ type pendingSolve struct {
 }
 
 // batcher coalesces concurrent single-RHS solves against one factor into
-// one SolveMany sweep. The first request to land in an empty window arms a
-// timer; everything arriving within the window joins its batch. A batch is
-// flushed early when it reaches the configured size limit. Each coalesced
-// sweep loads every factor block once for the whole batch — the serving
-// win SolveN was built for.
+// one SolveMany sweep. A solve that finds the factor idle — no sweep in
+// flight, nothing pending — runs at once. A solve that arrives while a
+// sweep is running waits for company instead: the first one parked arms
+// the BatchWindow timer, and the pending batch is flushed when the window
+// expires, when it reaches the configured size limit, or when a running
+// sweep finishes, whichever comes first. Each coalesced sweep loads every
+// factor block once for the whole batch — the serving win SolveN was
+// built for.
 type batcher struct {
 	s  *Server
 	fe *factorEntry
 
-	mu      sync.Mutex
-	pending []pendingSolve
-	timer   *time.Timer
+	mu       sync.Mutex
+	pending  []pendingSolve
+	timer    *time.Timer
+	inflight int // sweeps started and not yet finished
 }
 
 // submit enqueues b and waits for its solution (or ctx expiry; the batch
@@ -52,15 +56,11 @@ func (bt *batcher) submit(ctx context.Context, b []float64) solveOutcome {
 	bt.mu.Lock()
 	bt.pending = append(bt.pending, req)
 	switch {
-	case len(bt.pending) >= bt.s.cfg.BatchLimit:
-		if bt.timer != nil {
-			bt.timer.Stop()
-			bt.timer = nil
-		}
-		batch := bt.pending
-		bt.pending = nil
+	case bt.inflight == 0 || len(bt.pending) >= bt.s.cfg.BatchLimit:
+		batch := bt.take()
+		bt.inflight++
 		bt.mu.Unlock()
-		go bt.run(batch)
+		go bt.sweep(batch)
 	case len(bt.pending) == 1:
 		bt.timer = time.AfterFunc(bt.s.cfg.BatchWindow, bt.flush)
 		bt.mu.Unlock()
@@ -76,15 +76,42 @@ func (bt *batcher) submit(ctx context.Context, b []float64) solveOutcome {
 	}
 }
 
-// flush is the timer callback: take whatever accumulated and solve it.
-func (bt *batcher) flush() {
-	bt.mu.Lock()
+// take removes and returns the pending batch, disarming its timer. Called
+// with mu held.
+func (bt *batcher) take() []pendingSolve {
+	if bt.timer != nil {
+		bt.timer.Stop()
+		bt.timer = nil
+	}
 	batch := bt.pending
 	bt.pending = nil
-	bt.timer = nil
+	return batch
+}
+
+// flush is the timer callback: solve whatever accumulated.
+func (bt *batcher) flush() {
+	bt.mu.Lock()
+	batch := bt.take()
+	if len(batch) == 0 {
+		bt.mu.Unlock()
+		return
+	}
+	bt.inflight++
 	bt.mu.Unlock()
-	if len(batch) > 0 {
+	bt.sweep(batch)
+}
+
+// sweep runs batch, then keeps solving whatever was parked while it ran
+// until nothing is pending.
+func (bt *batcher) sweep(batch []pendingSolve) {
+	for len(batch) > 0 {
 		bt.run(batch)
+		bt.mu.Lock()
+		batch = bt.take()
+		if len(batch) == 0 {
+			bt.inflight--
+		}
+		bt.mu.Unlock()
 	}
 }
 

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"os"
@@ -9,14 +11,18 @@ import (
 	"strings"
 	"testing"
 
+	"blockfanout/internal/core"
 	"blockfanout/internal/gen"
+	"blockfanout/internal/mapping"
+	"blockfanout/internal/order"
 	"blockfanout/internal/sparse"
+	"blockfanout/internal/store"
 )
 
 // solveVec posts one RHS and returns x.
 func solveVec(t *testing.T, url, id string, b []float64) []float64 {
 	t.Helper()
-	resp, body := postJSON(t, url+"/v1/solve", solveRequest{ID: id, B: b})
+	resp, body := postJSON(t, url+"/v1/solve", SolveRequest{ID: id, B: b})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve: status %d: %s", resp.StatusCode, body)
 	}
@@ -173,5 +179,64 @@ func TestSnapshotWriteBehindFlush(t *testing.T) {
 	}
 	if snaps != 2 {
 		t.Fatalf("found %d snapshots after Close, want 2", snaps)
+	}
+}
+
+// TestWarmStartOrphansNaturalOrderingSnapshot: builds that analyzed under
+// the natural ordering wrote snapshots under a different configuration
+// key (the ordering is part of core.Options.ConfigKey). Such a store boots
+// cleanly and restores nothing, and a re-POST of the matrix builds cold
+// under minimum degree, keeping its id.
+func TestWarmStartOrphansNaturalOrderingSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	m := gen.IrregularMesh(300, 6, 2, 5)
+
+	// The snapshot an older build would have written for m.
+	probe := New(Config{})
+	oldOpts := probe.planOpts
+	oldOpts.Ordering = order.Natural
+	plan, err := core.NewPlan(m, oldOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asg := plan.Assign(plan.Map(mapping.BestGrid(probe.cfg.Procs), mapping.ID, mapping.CY), 2)
+	f, err := plan.FactorValuesContext(context.Background(), asg, m.Val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutFactor(&store.FactorSnapshot{
+		PatternHash: m.PatternHash(), ConfigKey: oldOpts.ConfigKey(),
+		N: m.N, ColPtr: m.ColPtr, RowInd: m.RowInd, Val: m.Val,
+		Blocks: f.Numeric().ExportBlocks(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := testService(t, Config{StoreDir: dir, BatchWindow: -1})
+	t.Cleanup(s.Close)
+	restored, err := s.WarmStart()
+	if err != nil || restored != 0 {
+		t.Fatalf("warm start over a natural-ordering snapshot: restored %d, err %v; want 0, nil", restored, err)
+	}
+	if keys, err := st.ScanFactors(); err != nil || len(keys) != 1 || keys[0].ConfigKey != oldOpts.ConfigKey() {
+		t.Fatalf("store after boot holds %v (err %v); want the orphaned natural-ordering snapshot", keys, err)
+	}
+	fr := factorMatrix(t, ts.URL, m)
+	if fr.CacheHit || fr.Refactored {
+		t.Fatalf("re-POST: cache_hit=%v refactored=%v; want a cold build", fr.CacheHit, fr.Refactored)
+	}
+	if want := fmt.Sprintf("%016x", m.PatternHash()); fr.ID != want {
+		t.Fatalf("re-POST id %s, want %s", fr.ID, want)
+	}
+	md, err := core.NewPlan(m, core.Options{Ordering: order.MinDegree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Flops != md.Exact.Flops {
+		t.Fatalf("re-POST flops %d, minimum degree gives %d", fr.Flops, md.Exact.Flops)
 	}
 }

@@ -5,7 +5,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -15,16 +14,6 @@ import (
 	"blockfanout/internal/mmio"
 	"blockfanout/internal/sparse"
 )
-
-// jsonCSC is the JSON wire form of a symmetric matrix: the lower triangle
-// (diagonal included) in compressed sparse column order, exactly mirroring
-// sparse.Matrix.
-type jsonCSC struct {
-	N      int       `json:"n"`
-	ColPtr []int     `json:"colptr"`
-	RowInd []int     `json:"rowind"`
-	Val    []float64 `json:"val"`
-}
 
 // ReadMatrix parses a factor-request body. contentType selects the codec:
 // anything containing "json" is decoded as JSON-CSC; everything else is
@@ -36,39 +25,53 @@ func ReadMatrix(body io.Reader, contentType string) (*sparse.Matrix, error) {
 		mt = parsed
 	}
 	var m *sparse.Matrix
+	var err error
 	if strings.Contains(mt, "json") {
-		var c jsonCSC
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&c); err != nil {
-			return nil, fmt.Errorf("bad JSON-CSC body: %w", err)
-		}
-		// Cheap shape checks before anything downstream sizes buffers from
-		// the claimed dimension: n is attacker-controlled, the arrays are
-		// backed by actual body bytes.
-		if c.N < 0 || c.N > mmio.MaxDim {
-			return nil, fmt.Errorf("JSON-CSC dimension %d out of range [0, %d]", c.N, mmio.MaxDim)
-		}
-		if len(c.ColPtr) != c.N+1 {
-			return nil, fmt.Errorf("JSON-CSC colptr has %d entries, want n+1 = %d", len(c.ColPtr), c.N+1)
-		}
-		if len(c.RowInd) != len(c.Val) {
-			return nil, fmt.Errorf("JSON-CSC rowind/val lengths differ: %d vs %d", len(c.RowInd), len(c.Val))
-		}
-		m = &sparse.Matrix{N: c.N, ColPtr: c.ColPtr, RowInd: c.RowInd, Val: c.Val}
-		if err := m.Validate(); err != nil {
-			return nil, err
-		}
+		m, err = readCSC(body)
 	} else {
-		var err error
-		if m, err = mmio.Read(body); err != nil {
-			return nil, err
-		}
+		m, err = mmio.Read(body)
+	}
+	if err != nil {
+		return nil, err
 	}
 	for i, v := range m.Val {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("matrix value %d is not finite (%g)", i, v)
 		}
+	}
+	return m, nil
+}
+
+// readCSC decodes a JSON-CSC body into a validated matrix.
+func readCSC(body io.Reader) (*sparse.Matrix, error) {
+	data, err := io.ReadAll(body)
+	if err != nil {
+		return nil, fmt.Errorf("reading JSON-CSC body: %w", err)
+	}
+	c, err := decodeCSC(data)
+	if err != nil {
+		return nil, fmt.Errorf("bad JSON-CSC body: %w", err)
+	}
+	return cscMatrix(c)
+}
+
+// cscMatrix turns a decoded JSON-CSC body into a validated matrix.
+func cscMatrix(c jsonCSC) (*sparse.Matrix, error) {
+	// Cheap shape checks before anything downstream sizes buffers from the
+	// claimed dimension: n is attacker-controlled, the arrays are backed by
+	// actual body bytes.
+	if c.N < 0 || c.N > mmio.MaxDim {
+		return nil, fmt.Errorf("JSON-CSC dimension %d out of range [0, %d]", c.N, mmio.MaxDim)
+	}
+	if len(c.ColPtr) != c.N+1 {
+		return nil, fmt.Errorf("JSON-CSC colptr has %d entries, want n+1 = %d", len(c.ColPtr), c.N+1)
+	}
+	if len(c.RowInd) != len(c.Val) {
+		return nil, fmt.Errorf("JSON-CSC rowind/val lengths differ: %d vs %d", len(c.RowInd), len(c.Val))
+	}
+	m := &sparse.Matrix{N: c.N, ColPtr: c.ColPtr, RowInd: c.RowInd, Val: c.Val}
+	if err := m.Validate(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -46,6 +46,7 @@ import (
 	"blockfanout/internal/faultinject"
 	"blockfanout/internal/kernels"
 	"blockfanout/internal/obs"
+	"blockfanout/internal/order"
 	"blockfanout/internal/plancache"
 	"blockfanout/internal/sched"
 	"blockfanout/internal/sparse"
@@ -74,9 +75,11 @@ type Config struct {
 	CacheEntries int
 	CacheBytes   int64
 	MaxFactors   int
-	// BatchWindow is how long the first single-RHS solve of a batch waits
-	// for company (default 2ms; negative disables batching). BatchLimit
-	// flushes a batch early once it holds this many vectors (default 64).
+	// BatchWindow bounds how long a single-RHS solve that arrives while a
+	// sweep of its factor is running waits for company; a solve that finds
+	// its factor idle runs at once (default 2ms; negative disables
+	// batching). BatchLimit flushes a batch early once it holds this many
+	// vectors (default 64).
 	BatchWindow time.Duration
 	BatchLimit  int
 	// RequestTimeout bounds each request's heavy work (default 60s).
@@ -276,7 +279,10 @@ type Server struct {
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
-	opts := core.Options{BlockSize: cfg.BlockSize, Blocking: cfg.Blocking, AmalgThreshold: cfg.AmalgThreshold, Exec: cfg.Exec}
+	// Every new pattern is analyzed under minimum degree, the fill-reducing
+	// ordering of the paper's irregular problems and the cluster gateway's
+	// default.
+	opts := core.Options{BlockSize: cfg.BlockSize, Ordering: order.MinDegree, Blocking: cfg.Blocking, AmalgThreshold: cfg.AmalgThreshold, Exec: cfg.Exec}
 	s := &Server{
 		cfg:      cfg,
 		planOpts: opts,
@@ -950,12 +956,6 @@ func (s *Server) tenantCacheGate(tenant string, m *sparse.Matrix) *admission.Rej
 
 // ---- /v1/solve ----
 
-type solveRequest struct {
-	ID string      `json:"id"`
-	B  []float64   `json:"b,omitempty"`
-	BS [][]float64 `json:"bs,omitempty"`
-}
-
 type solveResponse struct {
 	ID        string      `json:"id"`
 	X         []float64   `json:"x,omitempty"`
@@ -988,14 +988,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req solveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad solve body: %w", err))
-		return
-	}
-	if (req.B == nil) == (req.BS == nil) {
-		s.writeErr(w, http.StatusBadRequest, errors.New(`exactly one of "b" and "bs" must be set`))
+	req, err := DecodeSolve(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	fe, ok := s.lookup(req.ID)

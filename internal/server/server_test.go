@@ -17,7 +17,9 @@ import (
 	"time"
 
 	"blockfanout/internal/admission"
+	"blockfanout/internal/core"
 	"blockfanout/internal/gen"
+	"blockfanout/internal/order"
 	"blockfanout/internal/sparse"
 )
 
@@ -89,7 +91,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	s, ts := testService(t, Config{
 		Procs:       4,
 		BlockSize:   16,
-		BatchWindow: 200 * time.Millisecond,
+		BatchWindow: time.Hour,
 		BatchLimit:  batchLimit,
 	})
 
@@ -123,11 +125,19 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Fatalf("plan cache stats = %+v; want exactly 1 hit, 1 miss", st)
 	}
 
-	// Concurrent single-RHS solves: exactly batchLimit requests released
-	// together must coalesce into few SolveMany sweeps (the limit flush
-	// guarantees at least one multi-RHS batch). Answers are checked against
-	// a2 — the values the factor currently holds.
-	bs := make([][]float64, batchLimit)
+	// Coalescing, made deterministic by holding the entry's write lock so
+	// no sweep can finish: of batchLimit+1 concurrent single-RHS solves,
+	// the first finds the factor idle and starts a sweep of its own, which
+	// blocks on the lock; the other batchLimit park behind it (the hour-long
+	// window never fires) until the size limit flushes them as one
+	// batchLimit-wide sweep. Answers are checked against a2 — the values
+	// the factor currently holds.
+	fe, ok := s.lookup(fr.ID)
+	if !ok {
+		t.Fatal("factor entry missing")
+	}
+	const nSolves = batchLimit + 1
+	bs := make([][]float64, nSolves)
 	for i := range bs {
 		b := make([]float64, a2.N)
 		for k := range b {
@@ -135,14 +145,15 @@ func TestServiceEndToEnd(t *testing.T) {
 		}
 		bs[i] = b
 	}
+	fe.mu.Lock()
 	var wg sync.WaitGroup
-	results := make([]solveResponse, batchLimit)
-	errs := make([]error, batchLimit)
-	for i := 0; i < batchLimit; i++ {
+	results := make([]solveResponse, nSolves)
+	errs := make([]error, nSolves)
+	for i := 0; i < nSolves; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: bs[i]})
+			resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: bs[i]})
 			if resp.StatusCode != http.StatusOK {
 				errs[i] = fmt.Errorf("solve %d: status %d: %s", i, resp.StatusCode, body)
 				return
@@ -150,8 +161,14 @@ func TestServiceEndToEnd(t *testing.T) {
 			errs[i] = json.Unmarshal(body, &results[i])
 		}(i)
 	}
+	waitFor(t, "two sweeps in flight and nothing pending", func() bool {
+		fe.bt.mu.Lock()
+		defer fe.bt.mu.Unlock()
+		return fe.bt.inflight == 2 && len(fe.bt.pending) == 0
+	})
+	fe.mu.Unlock()
 	wg.Wait()
-	maxBatch := 0
+	sizes := map[int]int{}
 	for i := range results {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
@@ -159,16 +176,14 @@ func TestServiceEndToEnd(t *testing.T) {
 		if r := a2.ResidualNorm(results[i].X, bs[i]); r > 1e-8 {
 			t.Fatalf("solve %d residual %g", i, r)
 		}
-		if results[i].Batch > maxBatch {
-			maxBatch = results[i].Batch
-		}
+		sizes[results[i].Batch]++
 	}
-	if maxBatch < 2 {
-		t.Fatalf("no solve was coalesced (max batch %d); batcher is not batching", maxBatch)
+	if len(sizes) != 2 || sizes[1] != 1 || sizes[batchLimit] != batchLimit {
+		t.Fatalf("batch sizes seen by the solves = %v; want one lone solve and %d coalesced into one sweep", sizes, batchLimit)
 	}
 
 	// Multi-RHS request goes through the direct path.
-	resp, body := postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, BS: bs[:3]})
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, BS: bs[:3]})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("multi solve: status %d: %s", resp.StatusCode, body)
 	}
@@ -192,11 +207,87 @@ func TestServiceEndToEnd(t *testing.T) {
 	if doc.Cache.Hits != 1 || doc.Cache.Misses != 1 {
 		t.Fatalf("metrics cache stats = %+v; want 1 hit, 1 miss", doc.Cache)
 	}
-	if doc.Batches == 0 || doc.BatchedR < 2 {
-		t.Fatalf("metrics: batches=%d batched_rhs=%d; batcher left no trace", doc.Batches, doc.BatchedR)
+	if doc.Batches != 2 || doc.BatchedR != nSolves {
+		t.Fatalf("metrics: batches=%d batched_rhs=%d; want 2 and %d", doc.Batches, doc.BatchedR, nSolves)
 	}
-	if want := int64(batchLimit + 3); doc.SolvedRHS != want {
+	if want := int64(nSolves + 3); doc.SolvedRHS != want {
 		t.Fatalf("metrics: solved_rhs=%d; want %d", doc.SolvedRHS, want)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after a generous
+// deadline. It waits for a state, not for time to pass: the outcome never
+// depends on how fast the host is.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLoneSolveSkipsBatchWindow: a solve that finds its factor idle runs at
+// once instead of waiting out the batch window — here an hour, so the
+// test would time out if the solve waited for company.
+func TestLoneSolveSkipsBatchWindow(t *testing.T) {
+	_, ts := testService(t, Config{Procs: 2, BlockSize: 16, BatchWindow: time.Hour})
+	a := gen.Grid2D(10)
+	fr := factorMatrix(t, ts.URL, a)
+	b := make([]float64, a.N)
+	for i := range b {
+		b[i] = float64(i%5) - 2
+	}
+	for k := 0; k < 3; k++ { // one after another: each finds the factor idle
+		resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: b})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve %d: status %d: %s", k, resp.StatusCode, body)
+		}
+		var sr solveResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if sr.Batch != 1 {
+			t.Fatalf("solve %d ran in a batch of %d, want 1", k, sr.Batch)
+		}
+		if r := a.ResidualNorm(sr.X, b); r > 1e-8 {
+			t.Fatalf("solve %d residual %g", k, r)
+		}
+	}
+}
+
+// TestServiceAnalyzesUnderMinDegree: the service analyzes every new
+// pattern under minimum degree, so a factor POST of a relabeled irregular
+// mesh reports exactly the fill and flops of a minimum-degree plan — not
+// the (much larger) ones of the natural ordering of the relabeling.
+func TestServiceAnalyzesUnderMinDegree(t *testing.T) {
+	s, ts := testService(t, Config{Procs: 2, BatchWindow: -1})
+	if got := s.planOpts.Ordering; got != order.MinDegree {
+		t.Fatalf("service plans under %v, want %v", got, order.MinDegree)
+	}
+	base := gen.IrregularMesh(400, 6, 3, 17)
+	m, err := base.Permute(rand.New(rand.NewSource(3)).Perm(base.N))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := factorMatrix(t, ts.URL, m)
+	md, err := core.NewPlan(m, core.Options{Ordering: order.MinDegree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.NNZL != md.Exact.NZinL || fr.Flops != md.Exact.Flops {
+		t.Fatalf("served nnz_l=%d flops=%d, minimum degree gives nnz_l=%d flops=%d",
+			fr.NNZL, fr.Flops, md.Exact.NZinL, md.Exact.Flops)
+	}
+	nat, err := core.NewPlan(m, core.Options{Ordering: order.Natural})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nat.Exact.Flops <= md.Exact.Flops {
+		t.Fatalf("natural ordering flops %d ≤ minimum degree %d: the relabeling does not tell the orderings apart",
+			nat.Exact.Flops, md.Exact.Flops)
 	}
 }
 
@@ -224,7 +315,7 @@ func TestServiceDistinctPatterns(t *testing.T) {
 		id string
 		m  *sparse.Matrix
 	}{{fa.ID, a}, {fb.ID, b}} {
-		resp, body := postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: tc.id, B: rhs})
+		resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: tc.id, B: rhs})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solve: status %d: %s", resp.StatusCode, body)
 		}
@@ -272,10 +363,10 @@ func TestServiceRequestValidation(t *testing.T) {
 	infResp.Body.Close()
 	check("inf matrix value", infResp, infBody, http.StatusBadRequest, "not finite")
 
-	resp, body = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: "deadbeef", B: make([]float64, a.N)})
+	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: "deadbeef", B: make([]float64, a.N)})
 	check("unknown id", resp, body, http.StatusNotFound, "unknown factor id")
 
-	resp, body = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: make([]float64, 3)})
+	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: make([]float64, 3)})
 	check("short rhs", resp, body, http.StatusBadRequest, "length")
 
 	// JSON cannot carry NaN, so exercise the RHS finiteness guard directly
@@ -286,16 +377,16 @@ func TestServiceRequestValidation(t *testing.T) {
 		t.Fatalf("validRHS(NaN) = %v; want not-finite error", err)
 	}
 
-	resp, body = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID})
+	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID})
 	check("no rhs", resp, body, http.StatusBadRequest, `"b"`)
 
 	resp, body = postJSON(t, ts.URL+"/v1/solve",
-		solveRequest{ID: fr.ID, B: make([]float64, a.N), BS: [][]float64{make([]float64, a.N)}})
+		SolveRequest{ID: fr.ID, B: make([]float64, a.N), BS: [][]float64{make([]float64, a.N)}})
 	check("both rhs forms", resp, body, http.StatusBadRequest, `"b"`)
 
 	// One bad vector inside a multi-RHS request names the offender.
 	bad := [][]float64{make([]float64, a.N), make([]float64, 2)}
-	resp, body = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, BS: bad})
+	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, BS: bad})
 	check("bad rhs in batch", resp, body, http.StatusBadRequest, "rhs 1")
 
 	get, err := http.Get(ts.URL + "/v1/factor")
@@ -349,7 +440,7 @@ func TestServiceFailedFactorConcurrent(t *testing.T) {
 	for i := range rhs {
 		rhs[i] = 1
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: rhs})
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve after recovery: status %d (%s)", resp.StatusCode, body)
 	}
@@ -382,7 +473,7 @@ func TestServiceFailedRefactorInvalidatesFactor(t *testing.T) {
 	for i := range rhs {
 		rhs[i] = 1
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: rhs})
+	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: rhs})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("solve on invalidated factor: status %d (%s); want 404", resp.StatusCode, body)
 	}
@@ -398,7 +489,7 @@ func TestServiceFailedRefactorInvalidatesFactor(t *testing.T) {
 	if !fr2.CacheHit {
 		t.Fatal("rebuild after invalidation missed the plan cache")
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr2.ID, B: rhs})
+	resp, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr2.ID, B: rhs})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve after rebuild: status %d (%s)", resp.StatusCode, body)
 	}
@@ -593,7 +684,7 @@ func TestServiceBackpressure(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp, body := postJSON(t, ts.URL+"/v1/solve", solveRequest{ID: fr.ID, B: make([]float64, a.N)})
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fr.ID, B: make([]float64, a.N)})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overloaded solve: status %d (%s), want 429", resp.StatusCode, body)
 	}
