@@ -66,7 +66,6 @@ func run() error {
 		drainWait    = flag.Duration("drain-wait", 30*time.Second, "how long shutdown waits for in-flight requests")
 		debugAddr    = flag.String("debug-addr", "", "optional second listener with net/http/pprof and /metrics (keep it off the public network)")
 		storeDir     = flag.String("store-dir", "", "durable snapshot store directory; factors persist across restarts and are warm-started on boot (empty = no durability)")
-		tuneFlag     = flag.Bool("tune", false, "feedback-driven mapping: measure the first factorization of each pattern and remap its blocks from the measured costs when that predicts a better balance (gateway: propagate persisted tuned mappings to nodes)")
 		snapEvery    = flag.Duration("snapshot-interval", 0, "minimum spacing between write-behind snapshots of the same factor (0 = default 1s, negative = snapshot every factorization)")
 
 		tenantsPath    = flag.String("tenants", "", "JSON file of per-tenant admission limits; the \"default\" key meters tenants not listed (empty = unmetered)")
@@ -101,7 +100,7 @@ func run() error {
 			block: *block, exec: mode, replicas: *replicas,
 			minNodes: *minNodes, heartbeatInterval: *beatEvery,
 			heartbeatMisses: *beatMisses, heartbeatTimeout: *beatLimit,
-			localFallback: *fallbackFlag, storeDir: *storeDir, tune: *tuneFlag,
+			localFallback: *fallbackFlag, storeDir: *storeDir,
 			cacheEntries: *cacheEntries, cacheBytes: *cacheBytes,
 			timeout: *timeout, drainWait: *drainWait,
 			queueDepth: *queue, tenantDefault: tenantDefault, tenants: tenants,
@@ -120,7 +119,6 @@ func run() error {
 		RequestTimeout:   *timeout,
 		BlockSize:        *block,
 		Exec:             mode,
-		Tune:             *tuneFlag,
 		StoreDir:         *storeDir,
 		SnapshotInterval: *snapEvery,
 		TenantDefault:    tenantDefault,
@@ -241,7 +239,6 @@ type gatewayFlags struct {
 	heartbeatTimeout  time.Duration
 	localFallback     bool
 	storeDir          string
-	tune              bool
 	cacheEntries      int
 	cacheBytes        int64
 	timeout           time.Duration
@@ -267,7 +264,6 @@ func runGateway(gf gatewayFlags) error {
 		HeartbeatTimeout:     gf.heartbeatTimeout,
 		DisableLocalFallback: !gf.localFallback,
 		StoreDir:             gf.storeDir,
-		Tune:                 gf.tune,
 		RequestTimeout:       gf.timeout,
 		CacheEntries:         gf.cacheEntries,
 		CacheBytes:           gf.cacheBytes,

@@ -66,37 +66,42 @@ func writeTraceFile(path string, write func(io.Writer) error) error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "spchol:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("spchol", flag.ExitOnError)
 	var (
-		problem   = flag.String("problem", "", "paper benchmark name (e.g. GRID150, BCSSTK31)")
-		scale     = flag.String("scale", "ci", "benchmark scale for -problem: ci or paper")
-		gridK     = flag.Int("grid", 0, "generate a K×K grid problem")
-		cubeK     = flag.Int("cube", 0, "generate a K×K×K cube problem")
-		meshN     = flag.Int("mesh", 0, "generate a random 3-D mesh with N vertices")
-		denseN    = flag.Int("dense", 0, "generate a dense N×N problem")
-		file      = flag.String("file", "", "read a Matrix Market file")
-		action    = flag.String("action", "stats", "stats | balance | simulate | trace | factor | dot")
-		blockSize = flag.Int("block", core.DefaultBlockSize, "block size B (panel-width cap for -blocking irregular)")
-		blocking  = flag.String("blocking", "uniform", "partitioning strategy: uniform | staged | cycled | irregular")
-		amalg     = flag.Float64("amalg", 0, "relative-fill amalgamation threshold for -blocking irregular (0 = default)")
-		ordering  = flag.String("order", "auto", "ordering: auto | natural | mmd | amd | ndgraph | hybrid | rcm")
-		procs     = flag.Int("procs", 16, "number of processors")
-		rowH      = flag.String("row", "ID", "row mapping heuristic: CY DW IN DN ID")
-		colH      = flag.String("col", "CY", "column mapping heuristic: CY DW IN DN ID")
-		domains   = flag.Bool("domains", true, "use the domain/root split")
-		seed      = flag.Uint64("seed", 7, "generator seed for -mesh")
-		save      = flag.String("save", "", "with -action factor: write the factor bundle here")
-		execMode  = flag.String("exec", "steal", "parallel execution engine for -action factor: steal | spmd")
-		exp       = flag.String("exp", "", "action alias or internal/experiments runner name; picks a default problem if none is selected")
-		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON timeline (about:tracing / Perfetto) to this file")
+		problem   = fs.String("problem", "", "paper benchmark name (e.g. GRID150, BCSSTK31)")
+		scale     = fs.String("scale", "ci", "benchmark scale for -problem: ci or paper")
+		gridK     = fs.Int("grid", 0, "generate a K×K grid problem")
+		cubeK     = fs.Int("cube", 0, "generate a K×K×K cube problem")
+		meshN     = fs.Int("mesh", 0, "generate a random 3-D mesh with N vertices")
+		denseN    = fs.Int("dense", 0, "generate a dense N×N problem")
+		file      = fs.String("file", "", "read a Matrix Market file")
+		action    = fs.String("action", "stats", "stats | balance | simulate | trace | factor | dot")
+		blockSize = fs.Int("block", core.DefaultBlockSize, "block size B (panel-width cap for -blocking irregular)")
+		blocking  = fs.String("blocking", "uniform", "partitioning strategy: uniform | staged | cycled | irregular")
+		amalg     = fs.Float64("amalg", 0, "relative-fill amalgamation threshold for -blocking irregular (0 = default)")
+		ordering  = fs.String("order", "auto", "ordering: auto | natural | mmd | amd | ndgraph | hybrid | rcm")
+		procs     = fs.Int("procs", 16, "number of processors")
+		rowH      = fs.String("row", "ID", "row mapping heuristic: CY DW IN DN ID")
+		colH      = fs.String("col", "CY", "column mapping heuristic: CY DW IN DN ID")
+		domains   = fs.Bool("domains", true, "use the domain/root split")
+		seed      = fs.Uint64("seed", 7, "generator seed for -mesh")
+		save      = fs.String("save", "", "with -action factor: write the factor bundle here")
+		execMode  = fs.String("exec", "steal", "parallel execution engine for -action factor: steal | spmd")
+		exp       = fs.String("exp", "", "action alias or internal/experiments runner name; picks a default problem if none is selected")
+		traceOut  = fs.String("trace", "", "write a Chrome trace-event JSON timeline (about:tracing / Perfetto) to this file")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	// mapping.BestGrid(0) is a 0×1 grid that mapping.New would divide by.
+	if *procs < 1 {
+		return fmt.Errorf("-procs must be at least 1, got %d", *procs)
+	}
 
 	if *exp != "" {
 		switch *exp {
@@ -316,15 +321,7 @@ func run() error {
 
 	case "factor":
 		start := time.Now()
-		var (
-			f   *core.Factor
-			rec *obs.Recorder
-		)
-		if *traceOut != "" {
-			f, rec, err = plan.FactorTracedContext(context.Background(), assign)
-		} else {
-			f, err = plan.Factor(assign)
-		}
+		f, rep, err := plan.FactorValuesContext(context.Background(), assign, plan.A.Val, core.FactorRun{Trace: *traceOut != ""})
 		if err != nil {
 			return err
 		}
@@ -346,10 +343,10 @@ func run() error {
 			}
 			fmt.Printf("factor bundle saved to %s\n", *save)
 		}
-		if rec != nil {
+		if rep.Spans != nil {
 			label := fmt.Sprintf("%s %v/%v P=%d (executed)", name, rh, ch, g.P())
 			return writeTraceFile(*traceOut, func(w io.Writer) error {
-				return rec.WriteTrace(w, label)
+				return rep.Spans.WriteTrace(w, label)
 			})
 		}
 

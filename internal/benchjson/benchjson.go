@@ -48,27 +48,6 @@ type FanoutRow struct {
 	GFlops   float64 `json:"gflops"`
 }
 
-// RemapRow is one row of the feedback-driven remapping comparison: a real
-// measured factorization of an irregular problem under one mapping (every
-// static heuristic plus remap-after-measure), verified against the
-// sequential reference. See internal/experiments.RemapRows.
-type RemapRow struct {
-	Problem string `json:"problem"`
-	Procs   int    `json:"procs"`
-	// Map is the mapping label: "ID/CY", "CY/CY", …, or "remap" for the
-	// mapping rebuilt from the serve run's measured span costs.
-	Map string `json:"map"`
-	// Balance is the run's measured execution balance (per-processor busy
-	// time, total/(P·max)); Predicted is the ownership balance this
-	// mapping achieves over the measured cost profile — the tuner's
-	// objective.
-	Balance   float64 `json:"balance"`
-	Predicted float64 `json:"predicted"`
-	// Seconds is the factorization's measured compute window (first span
-	// start to last span end of the fastest rep).
-	Seconds float64 `json:"seconds"`
-}
-
 // Report is the full BENCH_kernels.json document.
 type Report struct {
 	Host string `json:"host"`
@@ -78,7 +57,6 @@ type Report struct {
 	Scale   string      `json:"scale"`
 	Kernels []KernelRow `json:"kernels"`
 	Fanout  []FanoutRow `json:"fanout"`
-	Remap   []RemapRow  `json:"remap"`
 }
 
 // Widths are the block sizes the partitioner actually produces; they match
@@ -312,36 +290,11 @@ func collectFanout(minRuns int) ([]FanoutRow, error) {
 	return rows, nil
 }
 
-// collectRemap runs the feedback-driven remapping comparison at CI scale
-// and converts its rows for the report.
-func collectRemap() ([]RemapRow, error) {
-	res, err := experiments.RemapRows(experiments.Default(gen.ScaleCI), experiments.RemapProcs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]RemapRow, 0, len(res))
-	for _, r := range res {
-		rows = append(rows, RemapRow{
-			Problem:   r.Problem,
-			Procs:     r.Procs,
-			Map:       r.Map,
-			Balance:   r.Balance,
-			Predicted: r.Predicted,
-			Seconds:   r.Seconds,
-		})
-	}
-	return rows, nil
-}
-
 // Collect measures everything and assembles the report. minTime bounds the
 // per-kernel measurement window.
 func Collect(minTime time.Duration) (*Report, error) {
 	host, _ := os.Hostname()
 	fan, err := collectFanout(5)
-	if err != nil {
-		return nil, err
-	}
-	remap, err := collectRemap()
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +304,6 @@ func Collect(minTime time.Duration) (*Report, error) {
 		Scale:   "ci",
 		Kernels: collectKernels(minTime),
 		Fanout:  fan,
-		Remap:   remap,
 	}, nil
 }
 

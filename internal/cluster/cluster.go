@@ -60,82 +60,6 @@ func buildSchedule(plan *core.Plan, procs int) (sched.Assignment, *sched.Program
 	return a, sched.Build(plan.BS, a)
 }
 
-// wireMapping rebuilds a tuned mapping shipped in a StartJob, validating
-// dimensions and ranges so a corrupt or mismatched frame cannot index the
-// schedule out of bounds. Returns nil when the job carries no tuned map.
-func wireMapping(plan *core.Plan, sj *wire.StartJob) (*mapping.Mapping, error) {
-	if len(sj.MapI) == 0 && len(sj.MapJ) == 0 {
-		return nil, nil
-	}
-	n := plan.BS.N()
-	if len(sj.MapI) != n || len(sj.MapJ) != n {
-		return nil, fmt.Errorf("cluster: tuned map sized %d×%d for a %d-panel plan", len(sj.MapI), len(sj.MapJ), n)
-	}
-	g := mapping.Grid{Pr: int(sj.MapPr), Pc: int(sj.MapPc)}
-	if g.P() != int(sj.Procs) {
-		return nil, fmt.Errorf("cluster: tuned map grid %d×%d does not cover %d processors", g.Pr, g.Pc, sj.Procs)
-	}
-	mi := make([]int, n)
-	mj := make([]int, n)
-	for k := 0; k < n; k++ {
-		if int(sj.MapI[k]) >= g.Pr || int(sj.MapJ[k]) >= g.Pc {
-			return nil, fmt.Errorf("cluster: tuned map entry %d = (%d,%d) outside grid %d×%d", k, sj.MapI[k], sj.MapJ[k], g.Pr, g.Pc)
-		}
-		mi[k] = int(sj.MapI[k])
-		mj[k] = int(sj.MapJ[k])
-	}
-	return &mapping.Mapping{Grid: g, MapI: mi, MapJ: mj}, nil
-}
-
-// scheduleFromJob derives one participant's schedule for a StartJob:
-// the canonical static schedule, or — when the job carries a tuned map —
-// the schedule under that measured-cost mapping with no domain override
-// (the gateway's adoption decision compared loads under exactly this
-// ownership; see internal/tune). Every participant and the gateway derive
-// the same program from the same frame.
-func scheduleFromJob(plan *core.Plan, sj *wire.StartJob) (*sched.Program, error) {
-	tm, err := wireMapping(plan, sj)
-	if err != nil {
-		return nil, err
-	}
-	if tm == nil {
-		_, pr := buildSchedule(plan, int(sj.Procs))
-		return pr, nil
-	}
-	a := plan.Assign(tm, 0)
-	return sched.Build(plan.BS, a), nil
-}
-
-// mapSignature digests a StartJob's tuned-map fields so a node can detect
-// the mapping changing between runs of the same pattern (gateway adopted a
-// remap) and rebuild its cached schedule. FNV-1a; 0 only for the static
-// (empty-map) case by construction.
-func mapSignature(sj *wire.StartJob) uint64 {
-	if len(sj.MapI) == 0 && len(sj.MapJ) == 0 {
-		return 0
-	}
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(sj.MapPr)<<16 | uint64(sj.MapPc))
-	for _, v := range sj.MapI {
-		mix(uint64(v))
-	}
-	for _, v := range sj.MapJ {
-		mix(uint64(v))
-	}
-	if h == 0 {
-		h = 1 // keep 0 reserved for "static"
-	}
-	return h
-}
-
 // procLoads returns each virtual processor's flop load under the
 // owner-computes model: a block's completing operation (BFAC/BDIV) plus
 // every BMOD targeting a block it owns. This is the weight vector the

@@ -207,3 +207,13 @@ func TestClusterNodeRejoinFromSnapshot(t *testing.T) {
 		t.Fatalf("post-rejoin solve residual %g", r)
 	}
 }
+
+// TestGatewayDefaultConfigKeyGolden: the gateway files plan and factor
+// snapshots under its default configuration key, the same one the solve
+// service uses. If it moves, every existing gateway data directory is
+// orphaned at the next upgrade.
+func TestGatewayDefaultConfigKeyGolden(t *testing.T) {
+	if g := NewGateway(GatewayConfig{}); g.planKey != 0x9692c77b0f16e051 {
+		t.Fatalf("default gateway plan key %#016x, want %#016x", g.planKey, uint64(0x9692c77b0f16e051))
+	}
+}

@@ -85,13 +85,6 @@ type GatewayConfig struct {
 	// (and degraded-mode local factors) persist across gateway restarts via
 	// WarmStart.
 	StoreDir string
-	// Tune enables feedback-driven mapping on the cluster path: WarmStart
-	// loads persisted cost profiles (internal/tune) from the store, rebuilds
-	// each pattern's measured-cost mapping, and every StartJob for such a
-	// pattern ships the tuned mapping so all participants derive the same
-	// remapped schedule. Mappings can also be registered directly with
-	// SetTunedMapping.
-	Tune bool
 	// RequestTimeout bounds each HTTP request's work (default 120s).
 	RequestTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (default 512 MiB).
@@ -226,10 +219,6 @@ type gwJob struct {
 	plan  *core.Plan
 	pr    *sched.Program
 	loads []int64 // per-virtual-processor flops
-	// tuned is the measured-cost mapping this job's schedule was built from
-	// (nil = static heuristics). Shipped in every StartJob so the nodes
-	// derive the identical program.
-	tuned *mapping.Mapping
 
 	mu       sync.Mutex
 	runID    uint64
@@ -283,10 +272,6 @@ type Gateway struct {
 	members []*member
 	byID    map[string]int
 	jobs    map[string]*gwJob
-	// tuned holds measured-cost mappings by pattern hash (loaded from
-	// persisted profiles at WarmStart or registered via SetTunedMapping);
-	// factor requests for a pattern with an entry ship it in StartJob.
-	tuned map[uint64]*mapping.Mapping
 
 	runSeq   atomic.Uint64
 	solveSeq atomic.Uint64
@@ -303,7 +288,6 @@ type Gateway struct {
 	metLocalFactors atomic.Uint64
 	metLocalSolves  atomic.Uint64
 	metWarmPlans    atomic.Uint64
-	metTunedMaps    atomic.Uint64
 }
 
 // NewGateway builds a gateway; call Serve with a listener for the node
@@ -334,7 +318,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		planKey:  opts.ConfigKey(),
 		byID:     make(map[string]int),
 		jobs:     make(map[string]*gwJob),
-		tuned:    make(map[uint64]*mapping.Mapping),
 	}
 	if cfg.StoreDir != "" {
 		g.st, g.storeErr = store.Open(cfg.StoreDir)
@@ -343,38 +326,6 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 		}
 	}
 	return g
-}
-
-// SetTunedMapping registers (or, with m == nil, clears) a measured-cost
-// mapping for a pattern: the next factor request for it ships the mapping
-// in StartJob and every participant schedules under it. The mapping's grid
-// must cover exactly cfg.Procs virtual processors.
-func (g *Gateway) SetTunedMapping(patternHash uint64, m *mapping.Mapping) error {
-	if m != nil && m.Grid.P() != g.cfg.Procs {
-		return fmt.Errorf("cluster: tuned mapping covers %d processors, gateway runs %d", m.Grid.P(), g.cfg.Procs)
-	}
-	g.mu.Lock()
-	if m == nil {
-		delete(g.tuned, patternHash)
-	} else {
-		g.tuned[patternHash] = m
-	}
-	g.metTunedMaps.Store(uint64(len(g.tuned)))
-	g.mu.Unlock()
-	return nil
-}
-
-// tunedFor returns the registered tuned mapping for a pattern if it fits
-// the plan (panel count must match — a profile measured under a different
-// blocking is useless here), nil otherwise.
-func (g *Gateway) tunedFor(patternHash uint64, plan *core.Plan) *mapping.Mapping {
-	g.mu.Lock()
-	tm := g.tuned[patternHash]
-	g.mu.Unlock()
-	if tm == nil || len(tm.MapJ) != plan.BS.N() {
-		return nil
-	}
-	return tm
 }
 
 // Serve accepts node control connections on ln until ctx is cancelled.
@@ -624,17 +575,6 @@ func (g *Gateway) broadcastStartLocked(j *gwJob) {
 		Frontier: j.frontier,
 		Tenant:   j.tenant, DeadlineUnixMicro: j.deadlineMicro,
 	}
-	if j.tuned != nil {
-		sj.MapPr, sj.MapPc = uint16(j.tuned.Grid.Pr), uint16(j.tuned.Grid.Pc)
-		sj.MapI = make([]uint16, len(j.tuned.MapI))
-		for i, v := range j.tuned.MapI {
-			sj.MapI[i] = uint16(v)
-		}
-		sj.MapJ = make([]uint16, len(j.tuned.MapJ))
-		for i, v := range j.tuned.MapJ {
-			sj.MapJ[i] = uint16(v)
-		}
-	}
 	for i, m := range j.members {
 		if !parts[i].Alive {
 			continue
@@ -866,18 +806,9 @@ func (g *Gateway) factor(ctx context.Context, m *sparse.Matrix, tenant string) (
 	if j.plan != nil && !j.plan.A.SamePattern(m) {
 		return nil, http.StatusConflict, fmt.Errorf("factor id %s is held by a different sparsity pattern (hash collision)", id)
 	}
-	// (Re)build the schedule when the job is new or its tuned mapping
-	// changed — a measured remap registered between runs must reshape this
-	// run, not the next restart's.
-	if tm := g.tunedFor(m.PatternHash(), entry.Plan); j.plan == nil || j.tuned != tm {
-		j.plan, j.tuned = entry.Plan, tm
-		a := entry.Assign
-		if tm != nil {
-			// No domain override under a tuned map: the remap balanced loads
-			// under exactly this ownership (see internal/tune).
-			a = entry.Plan.Assign(tm, 0)
-		}
-		j.pr = sched.Build(entry.Plan.BS, a)
+	if j.plan == nil {
+		j.plan = entry.Plan
+		j.pr = sched.Build(entry.Plan.BS, entry.Assign)
 		j.loads = procLoads(j.pr)
 	}
 
@@ -1286,7 +1217,6 @@ type gwMetricsDoc struct {
 	LocalFactors   uint64          `json:"local_factors"` // degraded-mode factorizations
 	LocalSolves    uint64          `json:"local_solves"`  // solves served by the local fallback factor
 	WarmPlans      uint64          `json:"warm_plans"`    // plans restored by the last WarmStart
-	TunedMaps      uint64          `json:"tuned_maps"`    // measured-cost mappings registered for propagation
 	Jobs           int             `json:"jobs"`
 	Store          *store.Stats    `json:"store,omitempty"` // absent without -store-dir
 	Admission      admission.Stats `json:"admission"`
@@ -1309,7 +1239,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		LocalFactors:   g.metLocalFactors.Load(),
 		LocalSolves:    g.metLocalSolves.Load(),
 		WarmPlans:      g.metWarmPlans.Load(),
-		TunedMaps:      g.metTunedMaps.Load(),
 		Jobs:           jobs,
 		Admission:      g.adm.Snapshot(),
 	}

@@ -14,7 +14,6 @@ import (
 	"blockfanout/internal/sched"
 	"blockfanout/internal/sparse"
 	"blockfanout/internal/store"
-	"blockfanout/internal/tune"
 )
 
 // jitterBackoff is the attempt-th retry's wait: base·2^(attempt-1) with
@@ -32,7 +31,7 @@ func jitterBackoff(base time.Duration, attempt int) time.Duration {
 // members and takes the distributed path.
 func (g *Gateway) factorLocal(ctx context.Context, j *gwJob, entry *plancache.Entry, m *sparse.Matrix, hit bool) (*gwFactorResponse, int, error) {
 	g.metLocalFactors.Add(1)
-	f, err := entry.Plan.FactorValuesContext(ctx, entry.Assign, m.Val)
+	f, _, err := entry.Plan.FactorValuesContext(ctx, entry.Assign, m.Val, core.FactorRun{})
 	if err != nil {
 		var pe *kernels.PivotError
 		if errors.As(err, &pe) {
@@ -91,9 +90,6 @@ func (g *Gateway) WarmStart() (int, error) {
 	if g.st == nil {
 		return 0, g.storeErr
 	}
-	// Load persisted cost profiles first so restored jobs (and all later
-	// factor requests) schedule under their measured-cost mappings.
-	g.loadTunedProfiles()
 	warm, err := g.cache.WarmStart(g.st, g.planKey, func(m *sparse.Matrix) (*core.Plan, sched.Assignment, error) {
 		plan, err := core.NewPlan(m, g.planOpts)
 		if err != nil {
@@ -110,16 +106,9 @@ func (g *Gateway) WarmStart() (int, error) {
 		id := fmt.Sprintf("%016x", we.Snap.PatternHash)
 		j := &gwJob{id: id, notify: make(chan struct{}, 1)}
 		j.plan = we.Entry.Plan
-		a := we.Entry.Assign
-		if tm := g.tunedFor(we.Snap.PatternHash, we.Entry.Plan); tm != nil {
-			j.tuned = tm
-			a = we.Entry.Plan.Assign(tm, 0)
-		}
-		j.pr = sched.Build(we.Entry.Plan.BS, a)
+		j.pr = sched.Build(we.Entry.Plan.BS, we.Entry.Assign)
 		j.loads = procLoads(j.pr)
 		if len(we.Snap.Blocks) > 0 {
-			// Local factors were snapshotted under the static assignment
-			// (factorLocal always uses entry.Assign), so restore with it.
 			if f, err := we.Entry.Plan.RestoreFactor(we.Entry.Assign, we.Snap.Val, we.Snap.Blocks); err == nil {
 				j.localF = f
 			} else {
@@ -135,45 +124,6 @@ func (g *Gateway) WarmStart() (int, error) {
 	}
 	g.metWarmPlans.Store(uint64(restored))
 	return restored, nil
-}
-
-// loadTunedProfiles rebuilds measured-cost mappings from every cost profile
-// persisted under this gateway's plan configuration and registers them for
-// StartJob propagation. Profiles measured at a different parallel width are
-// still usable — per-block costs do not depend on the virtual processor
-// count — because the remap search regrids for cfg.Procs. Returns how many
-// mappings were registered.
-func (g *Gateway) loadTunedProfiles() int {
-	if !g.cfg.Tune || g.st == nil {
-		return 0
-	}
-	keys, err := g.st.ScanProfiles()
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, k := range keys {
-		if k.ConfigKey != g.planKey {
-			continue // measured under a different plan configuration
-		}
-		ps, err := g.st.GetProfile(k.PatternHash, k.ConfigKey)
-		if err != nil {
-			continue // missing, or corrupt and already quarantined
-		}
-		prof, err := tune.FromSnapshot(ps)
-		if err != nil {
-			g.st.DeleteProfile(k.PatternHash, k.ConfigKey)
-			continue
-		}
-		tm, _ := tune.Search(prof, g.cfg.Procs)
-		if tm == nil {
-			continue
-		}
-		if g.SetTunedMapping(k.PatternHash, tm) == nil {
-			n++
-		}
-	}
-	return n
 }
 
 // fleetStatus summarizes cluster health: "ok" with the full fleet alive,

@@ -123,13 +123,8 @@ type nodeJob struct {
 
 	plan *core.Plan
 	pr   *sched.Program
-	// mapSig identifies which tuned mapping (0 = static) j.pr was built
-	// from, so a run arriving with a different map — the gateway adopted a
-	// measured remap since this pattern's plan was cached — rebuilds the
-	// schedule instead of executing under stale ownership.
-	mapSig uint64
-	nf     *numeric.Factor
-	pav    []float64 // permuted values of the current run
+	nf   *numeric.Factor
+	pav  []float64 // permuted values of the current run
 
 	myIdx    int
 	local    []bool // blocks this node executes under the current epoch
@@ -544,14 +539,8 @@ func (j *nodeJob) startLocked(n *Node, sj *wire.StartJob) error {
 		if err != nil {
 			return err
 		}
-		j.plan, j.nf = plan, nf
-	}
-	if sig := mapSignature(sj); j.pr == nil || sig != j.mapSig {
-		pr, err := scheduleFromJob(j.plan, sj)
-		if err != nil {
-			return err
-		}
-		j.pr, j.mapSig = pr, sig
+		_, pr := buildSchedule(plan, int(sj.Procs))
+		j.plan, j.pr, j.nf = plan, pr, nf
 	}
 	if len(sj.NodeOf) != j.pr.NProc {
 		return fmt.Errorf("cluster: NodeOf has %d entries for %d processors", len(sj.NodeOf), j.pr.NProc)

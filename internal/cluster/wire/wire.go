@@ -40,8 +40,9 @@ const Magic byte = 0xFC
 // deadline to StartJob (so nodes abort work whose requester already gave
 // up) and the deadline-abort counter to NodeStats; version 4 added the
 // optional tuned block mapping to StartJob (measured-cost remap propagated
-// gateway → nodes so every participant derives the identical schedule).
-const Version byte = 4
+// gateway → nodes so every participant derives the identical schedule);
+// version 5 removed the tuned block mapping.
+const Version byte = 5
 
 // MaxPayload bounds a frame's payload; larger announced lengths are
 // rejected before allocation. 1 GiB admits the block payloads of
@@ -164,16 +165,6 @@ type StartJob struct {
 	// rather than burn flops for a requester that already gave up.
 	Tenant            string
 	DeadlineUnixMicro int64
-
-	// Tuned mapping (v4). When MapI/MapJ are non-empty, participants build
-	// the block→processor mapping directly from these row/column maps on
-	// the MapPr×MapPc grid — a mapping rebuilt by the gateway from measured
-	// block costs — instead of deriving the static heuristic mapping. Empty
-	// means static. Like the plan options, all parties must agree exactly,
-	// which is why the full mapping travels on the wire rather than being
-	// re-derived from a profile each side might hold differently.
-	MapPr, MapPc uint16
-	MapI, MapJ   []uint16
 }
 
 // Abort cancels the named epoch.
@@ -488,10 +479,6 @@ func (s *StartJob) encode(e *enc) {
 	e.u32(s.Frontier)
 	e.str(s.Tenant)
 	e.u64(uint64(s.DeadlineUnixMicro))
-	e.u16(s.MapPr)
-	e.u16(s.MapPc)
-	e.u16s(s.MapI)
-	e.u16s(s.MapJ)
 }
 
 func (s *StartJob) decode(d *dec) {
@@ -520,10 +507,6 @@ func (s *StartJob) decode(d *dec) {
 	s.Frontier = d.u32()
 	s.Tenant = d.str()
 	s.DeadlineUnixMicro = int64(d.u64())
-	s.MapPr = d.u16()
-	s.MapPc = d.u16()
-	s.MapI = d.u16s()
-	s.MapJ = d.u16s()
 }
 
 func (a *Abort) encode(e *enc) {

@@ -48,8 +48,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 			},
 			Primary: 1, Replicas: []uint16{0}, Frontier: 17,
 			Tenant: "team-solvers", DeadlineUnixMicro: 1_700_000_000_123_456,
-			MapPr: 4, MapPc: 2,
-			MapI: []uint16{0, 1, 2, 3}, MapJ: []uint16{0, 1, 0, 1},
 		}},
 		{Type: TAbort, Abort: &Abort{JobID: "ab12cd", RunID: 3, Epoch: 1, Reason: "peer died"}},
 		{Type: TBlockData, BlockData: &BlockData{
@@ -97,10 +95,14 @@ func TestReadFrameBadMagic(t *testing.T) {
 	}
 }
 
+// TestReadFrameVersionMismatch: a peer one version ahead or behind (the
+// v4 StartJob still carried the tuned-map fields) is refused by header.
 func TestReadFrameVersionMismatch(t *testing.T) {
-	_, err := ReadFrame(bytes.NewReader([]byte{Magic, Version + 1, byte(THello), 0, 0, 0, 0}))
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("got %v, want ErrVersion", err)
+	for _, v := range []byte{Version - 1, Version + 1} {
+		_, err := ReadFrame(bytes.NewReader([]byte{Magic, v, byte(THello), 0, 0, 0, 0}))
+		if !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: got %v, want ErrVersion", v, err)
+		}
 	}
 }
 

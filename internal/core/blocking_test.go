@@ -8,6 +8,7 @@ import (
 	"blockfanout/internal/gen"
 	"blockfanout/internal/mapping"
 	ord "blockfanout/internal/order"
+	"blockfanout/internal/symbolic"
 )
 
 // TestNewPlanBlockingStrategies builds a plan per strategy, factors it in
@@ -99,5 +100,27 @@ func TestConfigKeyDistinguishesOptions(t *testing.T) {
 			t.Fatalf("variants %d and %d share key %016x", i, j, k)
 		}
 		seen[k] = i
+	}
+}
+
+// TestConfigKeyGolden pins ConfigKey values. Factor snapshots are filed
+// under these keys, so a change here orphans every existing data
+// directory. The first entry is the serving default (spchol-serve and the
+// cluster gateway both plan with it).
+func TestConfigKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		opts Options
+		want uint64
+	}{
+		{Options{BlockSize: DefaultBlockSize, Ordering: ord.MinDegree}, 0x9692c77b0f16e051},
+		{Options{}, 0xa09d945a1cd8d6e5},
+		{Options{BlockSize: 48, Ordering: ord.MinDegree, Exec: fanout.ModeSPMD}, 0x4794b1b2fc01c810},
+		{Options{BlockSize: 48, Ordering: ord.MinDegree, Blocking: blocks.StrategyIrregular, AmalgThreshold: 0.1}, 0xdf94ee39509de5af},
+		{Options{BlockSize: 32, Ordering: ord.NDGrid2D, GridDim: 40,
+			Amalgamation: &symbolic.AmalgamationConfig{MaxZeros: 8, MaxZeroFrac: 0.05}}, 0x3b88a815b3f67ed4},
+	} {
+		if got := tc.opts.ConfigKey(); got != tc.want {
+			t.Errorf("%+v: ConfigKey %#016x, want %#016x", tc.opts, got, tc.want)
+		}
 	}
 }

@@ -66,29 +66,7 @@ type Options struct {
 	// the serving tier, so plans requested under different engines must
 	// never alias in the plan cache.
 	Exec fanout.Mode
-	// MapSource records the provenance of the block→processor mapping the
-	// plan's factors are built under. The zero value (MapStatic) is the
-	// modeled-flop heuristic mapping and keeps ConfigKey identical to
-	// pre-provenance keys; MapTuned marks a mapping rebuilt from a measured
-	// cost profile (internal/tune). It is part of ConfigKey so a tuned plan
-	// and its static-mapped ancestor — same pattern, same analysis options —
-	// can never alias in the plan cache or serve each other's snapshots.
-	MapSource MapSource
-	// MapFingerprint distinguishes tuned mappings built from different cost
-	// profiles (tune.CostProfile.Fingerprint). Zero — and ignored — under
-	// MapStatic.
-	MapFingerprint uint64
 }
-
-// MapSource is the provenance of a plan's block→processor mapping.
-type MapSource uint8
-
-const (
-	// MapStatic is the default modeled-flop heuristic mapping.
-	MapStatic MapSource = iota
-	// MapTuned is a mapping rebuilt from measured span costs.
-	MapTuned
-)
 
 // ConfigKey returns a 64-bit FNV-1a digest of every option that changes the
 // analyzed plan. The plan cache mixes it into the pattern key so plans built
@@ -117,12 +95,6 @@ func (o Options) ConfigKey() uint64 {
 		mix(1)
 		mix(uint64(o.Amalgamation.MaxZeros))
 		mix(math.Float64bits(o.Amalgamation.MaxZeroFrac))
-	}
-	// Mapping provenance is mixed only when non-static so every pre-existing
-	// static key (and the snapshots filed under it) stays valid.
-	if o.MapSource != MapStatic {
-		mix(uint64(o.MapSource))
-		mix(o.MapFingerprint)
 	}
 	return h
 }
@@ -266,91 +238,75 @@ func (p *Plan) Assign(m *mapping.Mapping, domainBeta float64) sched.Assignment {
 	return a
 }
 
-// Factor runs the real parallel block fan-out factorization under the
-// assignment and returns the numeric factor. The factor keeps the
-// assignment's schedule and executor, so SolveParallel can reuse the data
-// distribution and Refactor can re-run the factorization without any
-// setup work.
+// newFactor allocates the block storage (loaded with the plan's permuted
+// values), the schedule and the parallel executor for one assignment. Every
+// parallel factor, computed or restored, starts here.
+func (p *Plan) newFactor(a sched.Assignment) (*Factor, error) {
+	nf, err := numeric.New(p.BS, p.PA)
+	if err != nil {
+		return nil, err
+	}
+	pr := sched.Build(p.BS, a)
+	return &Factor{plan: p, nf: nf, pr: pr, ex: fanout.NewExecutorMode(nf, pr, p.Opts.Exec), a: p.A}, nil
+}
+
+// Factor runs the real parallel block fan-out factorization of the plan's
+// own matrix under the assignment. The factor keeps the assignment's
+// schedule and executor, so SolveParallel can reuse the data distribution
+// and Refactor can re-run the factorization without any setup work.
 func (p *Plan) Factor(a sched.Assignment) (*Factor, error) {
-	return p.FactorContext(context.Background(), a)
+	f, _, err := p.FactorValuesContext(context.Background(), a, p.A.Val, FactorRun{})
+	return f, err
 }
 
-// FactorContext is Factor with cancellation: the parallel factorization
-// aborts early (returning ctx.Err()) if the context is cancelled.
-func (p *Plan) FactorContext(ctx context.Context, a sched.Assignment) (*Factor, error) {
-	nf, err := numeric.New(p.BS, p.PA)
-	if err != nil {
-		return nil, err
-	}
-	pr := sched.Build(p.BS, a)
-	ex := fanout.NewExecutorMode(nf, pr, p.Opts.Exec)
-	if _, err := ex.RunContext(ctx); err != nil {
-		return nil, err
-	}
-	return &Factor{plan: p, nf: nf, pr: pr, ex: ex, a: p.A}, nil
+// FactorRun carries the per-call choices of FactorValuesContext. The zero
+// value factors plainly: a pivot breakdown is an error and nothing is
+// recorded.
+type FactorRun struct {
+	// Perturb, when non-nil, retries a pivot breakdown with a shifted
+	// diagonal (see Factor.RefactorPerturbedContext).
+	Perturb *Perturbation
+	// Trace attaches an enabled span recorder to the executor before the
+	// run, so FactorReport.Spans holds one obs.Span per BFAC/BDIV/BMOD of
+	// the real execution, ready for Chrome trace-event export.
+	Trace bool
 }
 
-// FactorTracedContext is FactorContext with the executor's span recorder
-// attached and enabled: alongside the factor it returns the recorder
-// holding one obs.Span per BFAC/BDIV/BMOD the run performed, ready for
-// Chrome trace-event export. The instrumented run is the real execution,
-// not a replay — the recorder's gated hot path is cheap enough to time
-// production-shaped runs.
-func (p *Plan) FactorTracedContext(ctx context.Context, a sched.Assignment) (*Factor, *obs.Recorder, error) {
-	nf, err := numeric.New(p.BS, p.PA)
-	if err != nil {
-		return nil, nil, err
-	}
-	pr := sched.Build(p.BS, a)
-	ex := fanout.NewExecutorMode(nf, pr, p.Opts.Exec)
-	rec := ex.NewRecorder()
-	rec.Enable()
-	if _, err := ex.RunContext(ctx); err != nil {
-		return nil, nil, err
-	}
-	return &Factor{plan: p, nf: nf, pr: pr, ex: ex, a: p.A}, rec, nil
+// FactorReport is what a FactorValuesContext call observed besides the
+// factor itself.
+type FactorReport struct {
+	// Shift is the absolute diagonal shift α applied under
+	// FactorRun.Perturb; zero when the matrix factored unmodified.
+	Shift float64
+	// Spans is the run's recorder under FactorRun.Trace, nil otherwise.
+	Spans *obs.Recorder
 }
 
-// FactorMeasuredValuesContext is FactorValuesContext with a drop-free span
-// recorder attached and enabled (fanout.Executor.NewMeasureRecorder): lanes
-// are sized so every BFAC/BDIV/BMOD of the run is captured with
-// Recorder.Dropped() == 0, the completeness internal/tune requires before
-// it will aggregate the spans into a cost profile. It also returns the
-// schedule the run executed under, which maps span block ids back to block
-// coordinates.
-func (p *Plan) FactorMeasuredValuesContext(ctx context.Context, a sched.Assignment, values []float64) (*Factor, *obs.Recorder, *sched.Program, error) {
-	nf, err := numeric.New(p.BS, p.PA)
+// FactorValuesContext is the parallel factorization entry point: it factors
+// the plan's fixed pattern carrying values (laid out like A.Val, same CSC
+// entry order) under the assignment, aborting early with ctx.Err() if the
+// context is cancelled. A cached plan asked to factor a newly posted
+// same-pattern matrix must pass that matrix's values — the plan's own A.Val
+// are whichever values originally built it.
+func (p *Plan) FactorValuesContext(ctx context.Context, a sched.Assignment, values []float64, run FactorRun) (*Factor, FactorReport, error) {
+	f, err := p.newFactor(a)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, FactorReport{}, err
 	}
-	pr := sched.Build(p.BS, a)
-	ex := fanout.NewExecutorMode(nf, pr, p.Opts.Exec)
-	rec := ex.NewMeasureRecorder()
-	rec.Enable()
-	f := &Factor{plan: p, nf: nf, pr: pr, ex: ex, a: p.A}
-	if err := f.RefactorContext(ctx, values); err != nil {
-		return nil, nil, nil, err
+	var rep FactorReport
+	if run.Trace {
+		rep.Spans = f.ex.NewRecorder()
+		rep.Spans.Enable()
 	}
-	return f, rec, pr, nil
-}
-
-// FactorValuesContext is FactorContext for the analyze-once/factor-many
-// serving path: it factors the plan's fixed pattern carrying values (laid
-// out like A.Val, same CSC entry order) instead of the values the plan was
-// analyzed from. A cached plan asked to factor a newly posted same-pattern
-// matrix must use this — FactorContext would silently factor the stale
-// values of whichever matrix originally built the plan.
-func (p *Plan) FactorValuesContext(ctx context.Context, a sched.Assignment, values []float64) (*Factor, error) {
-	nf, err := numeric.New(p.BS, p.PA)
+	if run.Perturb != nil {
+		rep.Shift, err = f.RefactorPerturbedContext(ctx, values, *run.Perturb)
+	} else {
+		err = f.RefactorContext(ctx, values)
+	}
 	if err != nil {
-		return nil, err
+		return nil, FactorReport{}, err
 	}
-	pr := sched.Build(p.BS, a)
-	f := &Factor{plan: p, nf: nf, pr: pr, ex: fanout.NewExecutorMode(nf, pr, p.Opts.Exec), a: p.A}
-	if err := f.RefactorContext(ctx, values); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return f, rep, nil
 }
 
 // RestoreFactor rebuilds a computed Factor from snapshotted block data
@@ -364,15 +320,13 @@ func (p *Plan) RestoreFactor(a sched.Assignment, values []float64, blocks [][]fl
 	if len(values) != len(p.A.Val) {
 		return nil, fmt.Errorf("core: restore got %d values, pattern has %d nonzeros", len(values), len(p.A.Val))
 	}
-	nf, err := numeric.New(p.BS, p.PA)
+	f, err := p.newFactor(a)
 	if err != nil {
 		return nil, err
 	}
-	if err := nf.ImportBlocks(blocks); err != nil {
+	if err := f.nf.ImportBlocks(blocks); err != nil {
 		return nil, err
 	}
-	pr := sched.Build(p.BS, a)
-	f := &Factor{plan: p, nf: nf, pr: pr, ex: fanout.NewExecutorMode(nf, pr, p.Opts.Exec)}
 	// The factor represents the snapshot's values, not whichever values
 	// built the (possibly shared) plan matrix.
 	f.a = &sparse.Matrix{
@@ -394,16 +348,6 @@ func (p *Plan) FactorSequential() (*Factor, error) {
 		return nil, err
 	}
 	return &Factor{plan: p, nf: nf, a: p.A}, nil
-}
-
-// Refactor refactors f in place with new numeric values for the plan's
-// fixed pattern. It is the analyze-once/factor-many entry point; see
-// Factor.Refactor for the contract.
-func (p *Plan) Refactor(f *Factor, values []float64) error {
-	if f.plan != p {
-		return fmt.Errorf("core: factor belongs to a different plan")
-	}
-	return f.Refactor(values)
 }
 
 // Simulate runs the discrete-event multicomputer simulation of the fan-out
@@ -582,23 +526,6 @@ func (f *Factor) RefactorPerturbedContext(ctx context.Context, values []float64,
 	}
 	return 0, fmt.Errorf("core: still not positive definite after %d diagonal perturbations (last shift %g): %w",
 		pert.MaxAttempts, alpha/pert.Growth, err)
-}
-
-// FactorValuesPerturbedContext is FactorValuesContext with the
-// diagonal-perturbation retry; it reports the applied shift alongside the
-// factor.
-func (p *Plan) FactorValuesPerturbedContext(ctx context.Context, a sched.Assignment, values []float64, pert Perturbation) (*Factor, float64, error) {
-	nf, err := numeric.New(p.BS, p.PA)
-	if err != nil {
-		return nil, 0, err
-	}
-	pr := sched.Build(p.BS, a)
-	f := &Factor{plan: p, nf: nf, pr: pr, ex: fanout.NewExecutorMode(nf, pr, p.Opts.Exec), a: p.A}
-	shift, err := f.RefactorPerturbedContext(ctx, values, pert)
-	if err != nil {
-		return nil, 0, err
-	}
-	return f, shift, nil
 }
 
 // checkRHS validates one right-hand side: exact length and finite entries.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"blockfanout/internal/fanout"
 	"blockfanout/internal/gen"
 	"blockfanout/internal/mapping"
 	"blockfanout/internal/order"
@@ -38,12 +39,12 @@ func refactorFixture(t testing.TB) (*Plan, *Factor, []float64) {
 	return plan, f, vals
 }
 
-// TestRefactorMatchesFromScratch: Plan.Refactor on a fixed pattern with new
+// TestRefactorMatchesFromScratch: Factor.Refactor on a fixed pattern with new
 // values must match a from-scratch NewPlan+Factor to 1e-12 relative — the
 // PR's acceptance criterion.
 func TestRefactorMatchesFromScratch(t *testing.T) {
 	plan, f, vals := refactorFixture(t)
-	if err := plan.Refactor(f, vals); err != nil {
+	if err := f.Refactor(vals); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,7 +94,7 @@ func TestRefactorMatchesFromScratch(t *testing.T) {
 func TestFactorValuesMatchesFromScratch(t *testing.T) {
 	plan, _, vals := refactorFixture(t)
 	asn := plan.Assign(plan.Map(mapping.Grid{Pr: 2, Pc: 2}, mapping.ID, mapping.CY), 2)
-	f, err := plan.FactorValuesContext(context.Background(), asn, vals)
+	f, _, err := plan.FactorValuesContext(context.Background(), asn, vals, FactorRun{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,15 +186,6 @@ func TestRefactorErrors(t *testing.T) {
 		t.Fatal("Refactor accepted Inf values")
 	}
 
-	other := gen.Grid2D(10)
-	otherPlan, err := NewPlan(other, Options{Ordering: order.NDGrid2D, GridDim: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := otherPlan.Refactor(f, other.Val); err == nil {
-		t.Fatal("Plan.Refactor accepted a factor from a different plan")
-	}
-
 	// Cancelled context aborts the parallel refactorization.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -273,7 +265,7 @@ func TestRestoreFactorRoundTrip(t *testing.T) {
 	}
 	g := mapping.BestGrid(4)
 	a := plan.Assign(plan.Map(g, mapping.ID, mapping.CY), 2)
-	f, err := plan.FactorContext(context.Background(), a)
+	f, err := plan.Factor(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,5 +315,70 @@ func TestRestoreFactorRoundTrip(t *testing.T) {
 	bad[0] = bad[0][:len(bad[0])-1]
 	if _, err := plan.RestoreFactor(a, m.Val, bad); err == nil {
 		t.Fatal("wrong-length block accepted")
+	}
+}
+
+// TestEveryParallelPathMatchesSequential checks each way to obtain a
+// parallel factor — Factor, FactorValuesContext plain, traced and with
+// perturbation enabled, and RestoreFactor — entry-for-entry against
+// FactorSequential at 1e-12 relative, under both engines.
+func TestEveryParallelPathMatchesSequential(t *testing.T) {
+	m := gen.IrregularMesh(300, 6, 3, 23)
+	for _, mode := range []fanout.Mode{fanout.ModeWorkStealing, fanout.ModeSPMD} {
+		plan, err := NewPlan(m, Options{Ordering: order.MinDegree, BlockSize: 16, Exec: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := plan.FactorSequential()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := plan.Assign(plan.Map(mapping.Grid{Pr: 2, Pc: 2}, mapping.ID, mapping.CY), 2)
+		ctx := context.Background()
+		paths := map[string]func() (*Factor, error){
+			"Factor": func() (*Factor, error) { return plan.Factor(a) },
+			"FactorValuesContext": func() (*Factor, error) {
+				f, _, err := plan.FactorValuesContext(ctx, a, m.Val, FactorRun{})
+				return f, err
+			},
+			"FactorValuesContext/trace": func() (*Factor, error) {
+				f, rep, err := plan.FactorValuesContext(ctx, a, m.Val, FactorRun{Trace: true})
+				if err == nil && len(rep.Spans.Spans()) == 0 {
+					t.Errorf("%v: traced run recorded no spans", mode)
+				}
+				return f, err
+			},
+			"FactorValuesContext/perturb": func() (*Factor, error) {
+				f, rep, err := plan.FactorValuesContext(ctx, a, m.Val, FactorRun{Perturb: &Perturbation{}})
+				if err == nil && rep.Shift != 0 {
+					t.Errorf("%v: SPD matrix factored with shift %g", mode, rep.Shift)
+				}
+				return f, err
+			},
+			// A restored factor's executor must refactor like a computed one.
+			"RestoreFactor/refactor": func() (*Factor, error) {
+				f, err := plan.RestoreFactor(a, m.Val, seq.Numeric().ExportBlocks())
+				if err != nil {
+					return nil, err
+				}
+				return f, f.Refactor(m.Val)
+			},
+		}
+		for name, run := range paths {
+			f, err := run()
+			if err != nil {
+				t.Fatalf("%v %s: %v", mode, name, err)
+			}
+			sd, pd := seq.Numeric().Data, f.Numeric().Data
+			for j := range sd {
+				for bi := range sd[j] {
+					for k, v := range sd[j][bi] {
+						if w := pd[j][bi][k]; math.Abs(v-w) > 1e-12*(1+math.Abs(v)) {
+							t.Fatalf("%v %s: column %d block %d entry %d: %g, sequential %g", mode, name, j, bi, k, w, v)
+						}
+					}
+				}
+			}
+		}
 	}
 }

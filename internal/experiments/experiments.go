@@ -168,7 +168,6 @@ func All() []Runner {
 		{"domains", "§2.3: domain/root split ablation (beta sweep)", Domains},
 		{"faults", "resilience: per-mapping degradation under a fail-stop + buddy recovery", Faults},
 		{"timeline", "§5: per-processor compute/comm/idle breakdown (trace-event exportable)", Timeline},
-		{"remap", "feedback: remap from measured span costs vs the static heuristics", Remap},
 	}
 }
 

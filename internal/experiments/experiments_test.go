@@ -39,8 +39,8 @@ func TestByNameLookup(t *testing.T) {
 	if _, ok := ByName("nope"); ok {
 		t.Fatal("bogus runner found")
 	}
-	if len(All()) != 27 {
-		t.Fatalf("runner count %d, want 27", len(All()))
+	if len(All()) != 26 {
+		t.Fatalf("runner count %d, want 26", len(All()))
 	}
 }
 

@@ -185,7 +185,8 @@ func buildMap(h Heuristic, weight []int64, depth []int, bins int) []int {
 // New builds the Cartesian-product mapping for the block structure using
 // the given row and column heuristics. panelDepth gives each panel's
 // supernode depth in the elimination forest (needed only by ID; may be nil
-// otherwise).
+// otherwise). A grid with Pr or Pc below 1 is a caller bug (BestGrid(0) is
+// one): callers validate the processor count before building a mapping.
 func New(g Grid, rowH, colH Heuristic, bs *blocks.Structure, panelDepth []int) *Mapping {
 	if panelDepth == nil && (rowH == ID || colH == ID) {
 		panic("mapping: ID heuristic requires panel depths")

@@ -44,12 +44,12 @@ func (o Op) String() string {
 // for BMODs (-1 otherwise), and start/end nanoseconds since the recorder's
 // base time.
 type Span struct {
-	Proc     int32
-	Op       Op
-	Block    int32
-	Src      int32
-	Start    int64 // ns since recorder base
-	End      int64
+	Proc  int32
+	Op    Op
+	Block int32
+	Src   int32
+	Start int64 // ns since recorder base
+	End   int64
 }
 
 // lane is one processor's private span buffer. Lanes are fixed-capacity:
@@ -142,9 +142,10 @@ func (r *Recorder) recordSlow(proc int32, op Op, block, src int32, start int64) 
 	ln := &r.lanes[proc]
 	if len(ln.spans) == cap(ln.spans) {
 		// Full lane: count the loss instead of growing. Silently dropping
-		// here used to bias any span-derived cost profile toward the blocks
-		// that happened to run early; the counter lets consumers (tune,
-		// /metrics) detect — and refuse — a truncated recording.
+		// here used to bias any span-derived measurement toward the blocks
+		// that happened to run early; the counter lets consumers (the
+		// traced benchmark replay, /metrics) detect — and refuse — a
+		// truncated recording.
 		ln.dropped.Add(1)
 		return
 	}

@@ -56,14 +56,6 @@ type Entry struct {
 	Plan   *core.Plan
 	Assign sched.Assignment
 	Bytes  int64
-
-	// tunedCfg, when non-zero, is the configuration key of this entry's
-	// tuned sibling: a plan for the same pattern whose mapping was rebuilt
-	// from a measured cost profile (core.MapTuned provenance folded into
-	// the key). The serving layer follows it on a hit so the second
-	// factorization of a pattern runs under the tuned mapping. Guarded by
-	// the cache mutex — use Cache.SetTuned / Cache.TunedConfig.
-	tunedCfg uint64
 }
 
 // combineKey folds the configuration digest into the pattern hash with an
@@ -246,24 +238,6 @@ func (c *Cache) removeLocked(el *list.Element) {
 	if c.tbytes[e.Tenant] -= e.Bytes; c.tbytes[e.Tenant] <= 0 {
 		delete(c.tbytes, e.Tenant)
 	}
-}
-
-// SetTuned records on e that a tuned sibling plan for the same pattern
-// lives in the cache under tunedCfg (zero clears the link). The link is
-// advisory: if the sibling is evicted, lookups under tunedCfg simply miss
-// and the serving layer falls back to the static entry and re-tunes.
-func (c *Cache) SetTuned(e *Entry, tunedCfg uint64) {
-	c.mu.Lock()
-	e.tunedCfg = tunedCfg
-	c.mu.Unlock()
-}
-
-// TunedConfig returns the configuration key of e's tuned sibling, zero if
-// none has been recorded.
-func (c *Cache) TunedConfig(e *Entry) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return e.tunedCfg
 }
 
 // TenantBytes reports the cached bytes currently attributed to tenant.

@@ -38,11 +38,7 @@ func (s *Server) buildPlan(m *sparse.Matrix) (*core.Plan, sched.Assignment, erro
 // bandwidth for snapshots that supersede each other within milliseconds),
 // and a full queue skips the snapshot outright — in both cases the request
 // pays nothing at all, and the entry's next eligible completion re-arms.
-// cfgKey is the configuration key of the plan the factor was built under —
-// s.planKey for static mappings, the provenance-bearing tuned key for
-// factors running a measured remap — so tuned and static snapshots of the
-// same pattern never alias on disk.
-func (s *Server) saveSnapshot(fe *factorEntry, m *sparse.Matrix, f *core.Factor, cfgKey uint64) {
+func (s *Server) saveSnapshot(fe *factorEntry, m *sparse.Matrix, f *core.Factor) {
 	if s.st == nil {
 		return
 	}
@@ -59,7 +55,7 @@ func (s *Server) saveSnapshot(fe *factorEntry, m *sparse.Matrix, f *core.Factor,
 	}
 	fs := &store.FactorSnapshot{
 		PatternHash: m.PatternHash(),
-		ConfigKey:   cfgKey,
+		ConfigKey:   s.planKey,
 		N:           m.N,
 		ColPtr:      m.ColPtr,
 		RowInd:      m.RowInd,
@@ -127,15 +123,11 @@ func (s *Server) WarmStart() (int, error) {
 	if s.st == nil {
 		return 0, s.storeErr
 	}
-	// Tuned factors first: a pattern with a persisted cost profile and a
-	// tuned-key snapshot claims its id under the measured mapping before
-	// the static pass below can (claimEntry is first-wins), so a restart
-	// keeps serving the tuned mapping instead of regressing to static.
-	restored := s.restoreTuned()
 	warm, err := s.cache.WarmStart(s.st, s.planKey, s.buildPlan)
 	if err != nil {
-		return restored, err
+		return 0, err
 	}
+	restored := 0
 	for _, we := range warm {
 		f, err := we.Entry.Plan.RestoreFactor(we.Entry.Assign, we.Snap.Val, we.Snap.Blocks)
 		if err != nil {

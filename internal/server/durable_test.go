@@ -200,7 +200,7 @@ func TestWarmStartOrphansNaturalOrderingSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	asg := plan.Assign(plan.Map(mapping.BestGrid(probe.cfg.Procs), mapping.ID, mapping.CY), 2)
-	f, err := plan.FactorValuesContext(context.Background(), asg, m.Val)
+	f, _, err := plan.FactorValuesContext(context.Background(), asg, m.Val, core.FactorRun{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,5 +238,88 @@ func TestWarmStartOrphansNaturalOrderingSnapshot(t *testing.T) {
 	}
 	if fr.Flops != md.Exact.Flops {
 		t.Fatalf("re-POST flops %d, minimum degree gives %d", fr.Flops, md.Exact.Flops)
+	}
+}
+
+// TestDefaultConfigKeyGolden: the server's default plan configuration key
+// is the one existing data directories filed their factor snapshots under.
+// If it moves, every snapshot on disk is orphaned at the next upgrade.
+func TestDefaultConfigKeyGolden(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(s.Close)
+	if s.planKey != 0x9692c77b0f16e051 {
+		t.Fatalf("default plan key %#016x, want %#016x", s.planKey, uint64(0x9692c77b0f16e051))
+	}
+}
+
+// TestWarmStartSkipsRemovedTunedData boots on a data directory written by
+// builds that had feedback-driven mapping: a cost-profile file and factor
+// snapshots filed under a tuned configuration key sit next to one snapshot
+// under the static key. Boot must succeed and restore exactly the static
+// snapshot; the rest is left alone and a tuned-only pattern builds cold on
+// its next POST.
+func TestWarmStartSkipsRemovedTunedData(t *testing.T) {
+	dir := t.TempDir()
+	// A configuration key the tuned mapping produced from the default
+	// options (provenance and a profile fingerprint mixed in).
+	const tunedKey = 0x46ebe95cfcf79dd8
+	static := gen.IrregularMesh(300, 6, 2, 5)
+	tunedOnly := gen.IrregularMesh(260, 6, 2, 9)
+
+	probe := New(Config{})
+	t.Cleanup(probe.Close)
+	snap := func(m *sparse.Matrix, key uint64) *store.FactorSnapshot {
+		plan, asg, err := probe.buildPlan(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, _, err := plan.FactorValuesContext(context.Background(), asg, m.Val, core.FactorRun{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &store.FactorSnapshot{
+			PatternHash: m.PatternHash(), ConfigKey: key,
+			N: m.N, ColPtr: m.ColPtr, RowInd: m.RowInd, Val: m.Val,
+			Blocks: f.Numeric().ExportBlocks(),
+		}
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fs := range []*store.FactorSnapshot{
+		snap(static, probe.planKey), snap(static, tunedKey), snap(tunedOnly, tunedKey),
+	} {
+		if err := st.PutFactor(fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range []*sparse.Matrix{static, tunedOnly} {
+		name := fmt.Sprintf("profile-%016x-%016x.snap", m.PatternHash(), probe.planKey)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("cost profile of a removed feature"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, ts := testService(t, Config{StoreDir: dir, BatchWindow: -1})
+	t.Cleanup(s.Close)
+	restored, err := s.WarmStart()
+	if err != nil || restored != 1 {
+		t.Fatalf("warm start: restored %d, err %v; want exactly the static snapshot", restored, err)
+	}
+	b := make([]float64, static.N)
+	for i := range b {
+		b[i] = float64(1 + i%5)
+	}
+	x := solveVec(t, ts.URL, fmt.Sprintf("%016x", static.PatternHash()), b)
+	if r := residualNorm(static, x, b); r > 1e-8 {
+		t.Fatalf("restored static factor solve residual %g", r)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{ID: fmt.Sprintf("%016x", tunedOnly.PatternHash()), B: make([]float64, tunedOnly.N)})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("solve on a tuned-only pattern: status %d (%s), want 404", resp.StatusCode, body)
+	}
+	if fr := factorMatrix(t, ts.URL, tunedOnly); fr.CacheHit || fr.Refactored {
+		t.Fatalf("tuned-only re-POST: cache_hit=%v refactored=%v; want a cold build", fr.CacheHit, fr.Refactored)
 	}
 }

@@ -45,7 +45,6 @@ import (
 	"blockfanout/internal/fanout"
 	"blockfanout/internal/faultinject"
 	"blockfanout/internal/kernels"
-	"blockfanout/internal/obs"
 	"blockfanout/internal/order"
 	"blockfanout/internal/plancache"
 	"blockfanout/internal/sched"
@@ -102,16 +101,6 @@ type Config struct {
 	// of the plan-cache key, since each cached plan's factors embed an
 	// executor of the configured mode.
 	Exec fanout.Mode
-	// Tune enables feedback-driven mapping: the first factorization of each
-	// pattern runs under a measuring recorder, its per-block span costs are
-	// aggregated into a cost profile (internal/tune), and a bounded search
-	// over grid shapes rebuilds the block→processor mapping from the
-	// measured costs. When the remap's predicted makespan beats the static
-	// mapping's, the live factor is re-registered under the tuned mapping —
-	// no second numeric factorization — and every later refactorization of
-	// the pattern runs tuned. With a store, profiles persist and WarmStart
-	// restores tuned mappings before the static pass.
-	Tune bool
 	// RetryAttempts is how many times a transient infrastructure failure
 	// (see internal/faultinject) is retried with exponential backoff before
 	// the request fails (default 2; negative disables). Numeric failures —
@@ -659,20 +648,6 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Feedback-driven mapping: if a tuned sibling of the static entry is
-	// cached, factor under it instead — the second (and every later)
-	// factorization of a pattern runs the mapping rebuilt from the first
-	// run's measured span costs.
-	sentry := entry // static entry: the tuned link lives on it
-	tunedPlan := false
-	if s.cfg.Tune {
-		if tcfg := s.cache.TunedConfig(sentry); tcfg != 0 {
-			if te, ok := s.cache.Get(m, tcfg); ok {
-				entry, tunedPlan = te, true
-			}
-		}
-	}
-
 	refactored := false
 	var shift float64
 	for attempt := 0; ; attempt++ {
@@ -683,24 +658,18 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 			// is already gone and can safely re-claim) on failure. The
 			// factorization must use the posted values, not the plan's: on a
 			// cache hit the plan carries whichever values built it.
-			measure := s.cfg.Tune && !tunedPlan && !perturb
 			var f *core.Factor
-			var rec *obs.Recorder
-			var pr *sched.Program
 			ferr := s.guardEntry(fe, func() error {
 				return s.withRetry(ctx, func() error {
 					if err := faultinject.Fire("server.factor"); err != nil {
 						return err
 					}
-					var err error
-					switch {
-					case perturb:
-						f, shift, err = entry.Plan.FactorValuesPerturbedContext(ctx, entry.Assign, m.Val, core.Perturbation{})
-					case measure:
-						f, rec, pr, err = entry.Plan.FactorMeasuredValuesContext(ctx, entry.Assign, m.Val)
-					default:
-						f, err = entry.Plan.FactorValuesContext(ctx, entry.Assign, m.Val)
+					var run core.FactorRun
+					if perturb {
+						run.Perturb = &core.Perturbation{}
 					}
+					fr, rep, err := entry.Plan.FactorValuesContext(ctx, entry.Assign, m.Val, run)
+					f, shift = fr, rep.Shift
 					return err
 				})
 			})
@@ -712,14 +681,7 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			fe.f = f
-			if measure && rec != nil {
-				if tf, tp := s.tuneFromMeasurement(sentry, m, f, rec, pr); tf != nil {
-					// Same numeric blocks, tuned ownership: swap the live
-					// factor without a second factorization.
-					fe.f, fe.plan = tf, tp
-				}
-			}
-			s.saveSnapshot(fe, m, fe.f, fe.plan.Opts.ConfigKey())
+			s.saveSnapshot(fe, m, fe.f)
 			s.markReady(fe)
 			fe.mu.Unlock()
 			s.met.factors.Add(1)
@@ -774,7 +736,7 @@ func (s *Server) handleFactor(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, factorErrStatus(rerr), rerr)
 			return
 		}
-		s.saveSnapshot(fe, m, fe.f, fe.plan.Opts.ConfigKey())
+		s.saveSnapshot(fe, m, fe.f)
 		fe.mu.Unlock()
 		refactored = true
 		s.met.refactors.Add(1)
@@ -1146,7 +1108,6 @@ type metricsDoc struct {
 	BatchedR  int64           `json:"batched_rhs"`
 	Cache     plancache.Stats `json:"plan_cache"`
 	LiveFac   int             `json:"live_factors"`
-	Tune      *tuneDoc        `json:"tune,omitempty"`  // absent without -tune
 	Store     *storeDoc       `json:"store,omitempty"` // absent without -store-dir
 	Admission admission.Stats `json:"admission"`       // brownout state, queues, per-tenant counters
 
@@ -1187,15 +1148,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	doc.Admission = s.adm.Snapshot()
-	if s.cfg.Tune {
-		doc.Tune = &tuneDoc{
-			Adopted:      s.met.tuneAdopted.Load(),
-			Declined:     s.met.tuneDeclined.Load(),
-			Skipped:      s.met.tuneSkipped.Load(),
-			DroppedSpans: s.met.tuneDropped.Load(),
-			WarmRestored: s.met.tuneRestored.Load(),
-		}
-	}
 	doc.Latency.Factor = latencySnapshot(&s.met.factorLat)
 	doc.Latency.Refactor = latencySnapshot(&s.met.refactorLat)
 	doc.Latency.Solve = latencySnapshot(&s.met.solveLat)
@@ -1216,15 +1168,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		doc.Store = sd
 	}
 	writeJSON(w, http.StatusOK, doc)
-}
-
-// tuneDoc is the /metrics section for feedback-driven mapping.
-type tuneDoc struct {
-	Adopted      int64 `json:"adopted"`       // tuned mappings adopted over static
-	Declined     int64 `json:"declined"`      // measured remaps that did not beat static
-	Skipped      int64 `json:"skipped"`       // unusable measurements (truncation, restore failure)
-	DroppedSpans int64 `json:"dropped_spans"` // recorder drops seen on measurement runs (0 = healthy)
-	WarmRestored int64 `json:"warm_restored"` // tuned mappings restored by the last WarmStart
 }
 
 // storeDoc is the /metrics section for the durable snapshot store.
