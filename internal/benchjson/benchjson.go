@@ -124,12 +124,23 @@ func collectKernels(minTime time.Duration) []KernelRow {
 		naive := timeLoop(minTime, mulFlops, func() {
 			kernels.MulSubNaive(c, r, a, r, b, r, w, rel, rel, false, nil, nil)
 		})
+		var pk kernels.Pack
 		scattered := timeLoop(minTime, mulFlops, func() {
-			kernels.MulSubScattered(c, r, a, r, b, r, w, rel, rel)
+			kernels.MulSubScattered(c, r, a, r, b, r, w, rel, rel, &pk)
+		})
+		// The diagonal-destination BMOD: A = B, so only the lower
+		// triangle, r(r+1)/2 entries, is updated.
+		lowerFlops := int64(r * (r + 1) * w)
+		lower := timeLoop(minTime, lowerFlops, func() {
+			kernels.MulSubLower(c, r, a, r, a, r, w, rel, rel, rel, rel, &pk)
+		})
+		lowerNaive := timeLoop(minTime, lowerFlops, func() {
+			kernels.MulSubNaive(c, r, a, r, a, r, w, rel, rel, true, rel, rel)
 		})
 		rows = append(rows,
 			KernelRow{Kernel: "MulSub", Width: w, GFlops: tiled, SpeedupVsNaive: tiled / naive},
 			KernelRow{Kernel: "MulSubScattered", Width: w, GFlops: scattered, SpeedupVsNaive: scattered / naive},
+			KernelRow{Kernel: "MulSubLower", Width: w, GFlops: lower, SpeedupVsNaive: lower / lowerNaive},
 			KernelRow{Kernel: "MulSubNaive", Width: w, GFlops: naive},
 		)
 		if kernels.HasFMA() {

@@ -108,9 +108,12 @@ func TestRefactorAfterBreakdown(t *testing.T) {
 // TestCancellationLatency asserts the cancellation-observation bound: every
 // worker polls the abort channel between block operations, so RunContext
 // must return within a generous wall-clock budget of the cancel — far less
-// than a full factorization. Runs under -race in CI.
+// than a full factorization. Runs under -race in CI. The problem must take
+// well over the 5 ms cancel delay to factor, or the mid-run check skips:
+// Cube3D(10) factors in about 5 ms with the FMA kernels, Cube3D(16) in
+// tens of milliseconds.
 func TestCancellationLatency(t *testing.T) {
-	_, bs, pm := setup(t, gen.Cube3D(10), ord.NDCube3D, 10, 8)
+	_, bs, pm := setup(t, gen.Cube3D(16), ord.NDCube3D, 16, 8)
 	pr := sched.Build(bs, sched.Assignment{Map: mapping.Cyclic(mapping.Grid{Pr: 2, Pc: 2}, bs.N())})
 	f, err := numeric.New(bs, pm)
 	if err != nil {

@@ -48,7 +48,29 @@ func BenchmarkKernelMulSub(b *testing.B) {
 func BenchmarkKernelMulSubScattered(b *testing.B) {
 	for _, w := range benchWidths {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
-			benchMulSub(b, w, MulSubScattered)
+			var pk Pack
+			benchMulSub(b, w, func(c []float64, ldc int, a []float64, ra int, bb []float64, rb, w int, relRow, relCol []int) {
+				MulSubScattered(c, ldc, a, ra, bb, rb, w, relRow, relCol, &pk)
+			})
+		})
+	}
+}
+
+// BenchmarkKernelMulSubLower times the diagonal-destination BMOD: A = B,
+// so only the lower triangle of the r×r destination (r(r+1)/2 entries) is
+// updated and counted.
+func BenchmarkKernelMulSubLower(b *testing.B) {
+	for _, w := range benchWidths {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			r := benchRows
+			_, _, a, _, c, rel, _ := benchBlocks(w, r)
+			var pk Pack
+			b.SetBytes(int64(r*w+r*r) * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MulSubLower(c, r, a, r, a, r, w, rel, rel, rel, rel, &pk)
+			}
+			reportGFlops(b, int64(r*(r+1)*w))
 		})
 	}
 }

@@ -2,13 +2,13 @@
 
 package kernels
 
-// The 4-row panels of MulSubContig and MulSubScattered dispatch to a
-// hand-written AVX2+FMA micro-kernel when the CPU and OS support it,
-// mirroring the paper's use of hand-optimized Level-3 BLAS for the block
-// operations. Detection follows the standard sequence: CPUID leaf 1 must
-// advertise FMA, AVX and OSXSAVE, and XGETBV must confirm the OS saves the
-// XMM/YMM state. Everything else (remainders, the lower-triangular masked
-// kernel, non-amd64 builds) runs the portable register-tiled Go code.
+// BMOD and BDIV dispatch to hand-written AVX2+FMA micro-kernels when the
+// CPU and OS support it, mirroring the paper's use of hand-optimized
+// Level-3 BLAS for the block operations (fma.go holds the drivers).
+// Detection follows the standard sequence: CPUID leaf 1 must advertise
+// FMA, AVX and OSXSAVE, and XGETBV must confirm the OS saves the XMM/YMM
+// state. Without them, and on non-amd64 builds, the portable
+// register-tiled Go code runs.
 
 // cpuidex executes CPUID with the given leaf/subleaf.
 func cpuidex(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -21,6 +21,21 @@ func xgetbv0() (eax, edx uint32)
 //
 //go:noescape
 func dot4x2fma(a0, a1, a2, a3, b0, b1 *float64, n int, out *[8]float64)
+
+// mulsubStrip subtracts the product of nr rows of A and one packed
+// strip from C: cᵣ[j] −= Σₖ aᵣ[k]·bp[8k+j] for r < nr, j < nc ≤ 8, over n
+// panel elements, with strip columns past nc packed as zeros. A row r
+// starts at a + r·lda, and C row r at c + rows[r]·ldc, or at c + r·ldc
+// when rows is nil. Columns past nc are never read or written.
+//
+//go:noescape
+func mulsubStrip(a *float64, lda int, bp *float64, n int, c *float64, ldc int, rows *int, nr int, nc int)
+
+// pack8 transposes eight rows of B, ldb apart, into a packed strip:
+// dst[8k+j] = b[j·ldb+k] for j < 8, k < n.
+//
+//go:noescape
+func pack8(b *float64, ldb int, n int, dst *float64)
 
 // hasFMA is the single hardware-capability gate, computed once at init;
 // SetFMA can never turn the micro-kernel on without it.

@@ -7,16 +7,19 @@
 //
 // The paper uses hand-optimized Level-3 BLAS for BDIV (triangular solve
 // with multiple right-hand sides) and BMOD (matrix multiplication). These
-// pure-Go kernels perform the identical arithmetic with register tiling in
-// the same spirit: BMOD sweeps 4×2 register tiles over the panel (w)
-// dimension so eight accumulators stay in registers and every loaded
-// source element feeds multiple products, BDIV solves four
+// kernels perform the identical arithmetic in two tiers. On amd64 with
+// AVX2+FMA, BMOD runs a packed 6×8 outer-product tile that keeps its block
+// of C in vector registers across the panel (w) dimension, and BDIV forms
+// its sums with a 4×2 FMA micro-kernel (fma.go, fma_amd64.s). Everywhere
+// else the portable Go tier runs: BMOD sweeps 4×2 register tiles over the
+// panel dimension so eight accumulators stay in registers and every loaded
+// source element feeds multiple products, and BDIV solves four
 // right-hand-side rows per pass so every loaded L entry is used four
-// times, and BFAC is a blocked right-looking factorization whose trailing
-// update reuses the tiled multiply. The naive triple-loop
-// variants are kept in-tree (CholeskyNaive, SolveRightNaive, MulSubNaive)
-// as the reference implementations the property tests and benchmarks
-// compare against.
+// times. BFAC is a blocked right-looking factorization whose trailing
+// update reuses the tiled multiply. The naive triple-loop variants are
+// kept in-tree (CholeskyNaive, SolveRightNaive, MulSubNaive) as the
+// reference implementations the property tests and benchmarks compare
+// against.
 //
 // Storage conventions: a diagonal block of panel width w is a full w×w
 // row-major matrix of which only the lower triangle is meaningful; an
@@ -224,6 +227,21 @@ func checkSolvePivots(l []float64, n, ldl int) error {
 	return nil
 }
 
+// checkSolveBuffers rejects shapes the buffers cannot hold before a solve
+// touches them, the way Cholesky rejects a short block.
+func checkSolveBuffers(x []float64, r int, l []float64, w int) error {
+	if r < 0 || w < 0 {
+		return fmt.Errorf("kernels: SolveRight shape %d×%d is negative", r, w)
+	}
+	if len(x) < r*w {
+		return fmt.Errorf("kernels: SolveRight buffer %d < %d", len(x), r*w)
+	}
+	if len(l) < w*w {
+		return fmt.Errorf("kernels: SolveRight factor buffer %d < %d", len(l), w*w)
+	}
+	return nil
+}
+
 // SolveRight performs the BDIV operation: X ← X · L⁻ᵀ where X is r×w
 // row-major and L is the w×w lower-triangular factor of the diagonal block.
 // Each row x of X is replaced by the solution y of y·Lᵀ = x. Four rows are
@@ -232,6 +250,9 @@ func checkSolvePivots(l []float64, n, ldl int) error {
 // signature of a diagonal block whose factorization broke down — yields a
 // PivotError before any substitution runs.
 func SolveRight(x []float64, r int, l []float64, w int) error {
+	if err := checkSolveBuffers(x, r, l, w); err != nil {
+		return err
+	}
 	if err := checkSolvePivots(l, w, w); err != nil {
 		return err
 	}
@@ -241,6 +262,9 @@ func SolveRight(x []float64, r int, l []float64, w int) error {
 
 // SolveRightNaive is the one-row-at-a-time reference implementation.
 func SolveRightNaive(x []float64, r int, l []float64, w int) error {
+	if err := checkSolveBuffers(x, r, l, w); err != nil {
+		return err
+	}
 	if err := checkSolvePivots(l, w, w); err != nil {
 		return err
 	}
@@ -262,6 +286,10 @@ func SolveRightNaive(x []float64, r int, l []float64, w int) error {
 // ldx against the leading n×n lower triangle of l (leading dimension ldl),
 // processing four right-hand-side rows at a time.
 func solveRightLD(x []float64, r, ldx int, l []float64, n, ldl int) {
+	if useFMA && n >= solveMinWidth {
+		solveRightFMA(x, r, ldx, l, n, ldl)
+		return
+	}
 	s := 0
 	for ; s+4 <= r; s += 4 {
 		x0 := x[s*ldx : s*ldx+n]
@@ -301,6 +329,7 @@ func solveRightLD(x []float64, r, ldx int, l []float64, n, ldl int) {
 // MulSub performs the BMOD update C ← C − A·Bᵀ with index indirection:
 // A is ra×w, B is rb×w, C is the destination block with leading dimension
 // ldc, and entry (s,t) of the product lands at C[relRow[s]*ldc + relCol[t]].
+// relRow and relCol are strictly increasing, as BMOD index maps always are.
 //
 // When the destination is a diagonal block the caller must pass lower=true
 // together with the global row/column index lists (ascending, as block row
@@ -311,21 +340,23 @@ func solveRightLD(x []float64, r, ldx int, l []float64, n, ldl int) {
 // dispatched to the dense contiguous kernel, otherwise to the scattered
 // kernel. Callers that already know the classification (package numeric
 // fuses it into index construction) can invoke MulSubContig or
-// MulSubScattered directly.
+// MulSubScattered directly, passing a Pack they own; MulSub stages its
+// strips in a Pack on its own stack.
 func MulSub(c []float64, ldc int, a []float64, ra int, b []float64, rb int, w int,
 	relRow, relCol []int, lower bool, rowsA, rowsB []int) {
 	if ra == 0 || rb == 0 {
 		return
 	}
+	var pk Pack
 	if lower {
-		MulSubLower(c, ldc, a, ra, b, rb, w, relRow, relCol, rowsA, rowsB)
+		MulSubLower(c, ldc, a, ra, b, rb, w, relRow, relCol, rowsA, rowsB, &pk)
 		return
 	}
 	if consecutive(relRow, ra) && consecutive(relCol, rb) {
-		MulSubContig(c[relRow[0]*ldc+relCol[0]:], ldc, a, ra, b, rb, w)
+		MulSubContig(c[relRow[0]*ldc+relCol[0]:], ldc, a, ra, b, rb, w, &pk)
 		return
 	}
-	MulSubScattered(c, ldc, a, ra, b, rb, w, relRow, relCol)
+	MulSubScattered(c, ldc, a, ra, b, rb, w, relRow, relCol, &pk)
 }
 
 // consecutive reports whether rel[:n] is the run rel[0], rel[0]+1, … .
@@ -364,9 +395,15 @@ func MulSubNaive(c []float64, ldc int, a []float64, ra int, b []float64, rb int,
 // MulSubContig performs C ← C − A·Bᵀ for a dense consecutive destination:
 // product entry (s,t) lands at c[s*ldc+t] (the caller applies the
 // destination origin by slicing c). This is the no-indirection fast path
-// of the BMOD kernel: 4×2 register tiles accumulate eight inner products
-// per sweep over the panel dimension w.
-func MulSubContig(c []float64, ldc int, a []float64, ra int, b []float64, rb, w int) {
+// of the BMOD kernel. With the FMA micro-kernels it runs mulSubFMA; the
+// portable path sweeps 4×2 register tiles that accumulate eight inner
+// products over the panel dimension w. pk is the strip scratch of the
+// packed tile.
+func MulSubContig(c []float64, ldc int, a []float64, ra int, b []float64, rb, w int, pk *Pack) {
+	if useFMA && w >= fmaMinWidth {
+		mulSubFMA(c, ldc, a, ra, b, rb, w, nil, nil, nil, nil, pk)
+		return
+	}
 	s := 0
 	for ; s+4 <= ra; s += 4 {
 		a0 := a[s*w : s*w+w]
@@ -378,22 +415,6 @@ func MulSubContig(c []float64, ldc int, a []float64, ra int, b []float64, rb, w 
 		c2 := c[(s+2)*ldc:]
 		c3 := c[(s+3)*ldc:]
 		t := 0
-		if useFMA {
-			var acc [8]float64
-			for ; t+2 <= rb; t += 2 {
-				b0 := b[t*w : t*w+w]
-				b1 := b[(t+1)*w : (t+1)*w+w]
-				dot4x2fma(&a0[0], &a1[0], &a2[0], &a3[0], &b0[0], &b1[0], w, &acc)
-				c0[t] -= acc[0]
-				c0[t+1] -= acc[1]
-				c1[t] -= acc[2]
-				c1[t+1] -= acc[3]
-				c2[t] -= acc[4]
-				c2[t+1] -= acc[5]
-				c3[t] -= acc[6]
-				c3[t+1] -= acc[7]
-			}
-		}
 		for ; t+2 <= rb; t += 2 {
 			b0 := b[t*w : t*w+w]
 			b1 := b[(t+1)*w : (t+1)*w+w]
@@ -448,10 +469,16 @@ func MulSubContig(c []float64, ldc int, a []float64, ra int, b []float64, rb, w 
 }
 
 // MulSubScattered performs the indexed BMOD update for destinations whose
-// rows or columns are not consecutive: the same 4×2 register tiles as the
-// contiguous path, with the results scattered through relRow/relCol.
+// rows or columns are not consecutive: the same tiles as the contiguous
+// path, with the results scattered through relRow/relCol. Both maps must
+// be strictly increasing, as the positions of one sorted row list within
+// another always are.
 func MulSubScattered(c []float64, ldc int, a []float64, ra int, b []float64, rb, w int,
-	relRow, relCol []int) {
+	relRow, relCol []int, pk *Pack) {
+	if useFMA && w >= fmaMinWidth {
+		mulSubFMA(c, ldc, a, ra, b, rb, w, relRow, relCol, nil, nil, pk)
+		return
+	}
 	s := 0
 	for ; s+4 <= ra; s += 4 {
 		a0 := a[s*w : s*w+w]
@@ -463,23 +490,6 @@ func MulSubScattered(c []float64, ldc int, a []float64, ra int, b []float64, rb,
 		c2 := c[relRow[s+2]*ldc:]
 		c3 := c[relRow[s+3]*ldc:]
 		t := 0
-		if useFMA {
-			var acc [8]float64
-			for ; t+2 <= rb; t += 2 {
-				b0 := b[t*w : t*w+w]
-				b1 := b[(t+1)*w : (t+1)*w+w]
-				dot4x2fma(&a0[0], &a1[0], &a2[0], &a3[0], &b0[0], &b1[0], w, &acc)
-				j0, j1 := relCol[t], relCol[t+1]
-				c0[j0] -= acc[0]
-				c0[j1] -= acc[1]
-				c1[j0] -= acc[2]
-				c1[j1] -= acc[3]
-				c2[j0] -= acc[4]
-				c2[j1] -= acc[5]
-				c3[j0] -= acc[6]
-				c3[j1] -= acc[7]
-			}
-		}
 		for ; t+2 <= rb; t += 2 {
 			b0 := b[t*w : t*w+w]
 			b1 := b[(t+1)*w : (t+1)*w+w]
@@ -538,8 +548,13 @@ func MulSubScattered(c []float64, ldc int, a []float64, ra int, b []float64, rb,
 // global coordinates) are applied. Both row lists must be ascending — true
 // of every block row list — which turns the triangular mask into a
 // monotone per-row cutoff so the inner loop runs unmasked and 4-wide.
+// relRow and relCol must be strictly increasing, as for MulSubScattered.
 func MulSubLower(c []float64, ldc int, a []float64, ra int, b []float64, rb, w int,
-	relRow, relCol []int, rowsA, rowsB []int) {
+	relRow, relCol []int, rowsA, rowsB []int, pk *Pack) {
+	if useFMA && w >= fmaMinWidth {
+		mulSubFMA(c, ldc, a, ra, b, rb, w, relRow, relCol, rowsA, rowsB, pk)
+		return
+	}
 	cut := 0
 	for s := 0; s < ra; s++ {
 		for cut < rb && rowsB[cut] <= rowsA[s] {
@@ -563,9 +578,9 @@ func MulSubLower(c []float64, ldc int, a []float64, ra int, b []float64, rb, w i
 
 // dot4x2 accumulates the eight inner products of four A rows against two
 // B rows in registers over a single sweep of the shared panel dimension.
-// 4×2 is the largest micro-tile whose accumulators and operands (8 + 6
-// values) stay resident in the sixteen amd64 vector registers; a 4×4 tile
-// spills and runs markedly slower. All slices must have length ≥ len(a0);
+// 4×2 is the largest dot-product micro-tile whose accumulators and
+// operands (8 + 6 values) stay resident in the sixteen amd64 vector
+// registers; a 4×4 tile spills and runs markedly slower. All slices must have length ≥ len(a0);
 // they are re-sliced so the compiler can elide bounds checks in the hot
 // loop.
 func dot4x2(a0, a1, a2, a3, b0, b1 []float64) (s00, s01, s10, s11, s20, s21, s30, s31 float64) {

@@ -198,12 +198,14 @@ func (f *Factor) BDIV(k, bi int) error {
 }
 
 // Workspace holds the per-executor scratch of BMOD: the destination index
-// maps relRow/relCol. Each parallel processor (and the sequential driver)
-// owns one Workspace, replacing the ad-hoc threading of the two slices
-// through every call; Reserve lets executors preallocate once so the
-// factorization hot path never allocates.
+// maps relRow/relCol and the fixed-size strip buffer of the packed BMOD
+// kernel. Each parallel processor (and the sequential driver) owns one
+// Workspace, replacing the ad-hoc threading of the scratch through every
+// call; Reserve lets executors preallocate once so the factorization hot
+// path never allocates.
 type Workspace struct {
 	relRow, relCol []int
+	pack           kernels.Pack
 }
 
 // Reserve grows the index scratch to hold destinations of up to r rows.
@@ -287,13 +289,13 @@ func (f *Factor) BMOD(k, ia, jb int, ws *Workspace) error {
 	switch {
 	case destI == destJ:
 		kernels.MulSubLower(cd, wJ, f.Data[k][ia], ra, f.Data[k][jb], rb, wK,
-			relRow, relCol, srcA.Rows, srcB.Rows)
+			relRow, relCol, srcA.Rows, srcB.Rows, &ws.pack)
 	case rowContig && colContig:
 		kernels.MulSubContig(cd[relRow[0]*wJ+relCol[0]:], wJ,
-			f.Data[k][ia], ra, f.Data[k][jb], rb, wK)
+			f.Data[k][ia], ra, f.Data[k][jb], rb, wK, &ws.pack)
 	default:
 		kernels.MulSubScattered(cd, wJ, f.Data[k][ia], ra, f.Data[k][jb], rb, wK,
-			relRow, relCol)
+			relRow, relCol, &ws.pack)
 	}
 	return nil
 }
