@@ -16,6 +16,7 @@ package blocks
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"blockfanout/internal/symbolic"
 )
@@ -99,6 +100,19 @@ type Structure struct {
 	TotalWork  int64
 	TotalFlops int64
 	TotalOps   int64
+
+	derivedOnce sync.Once
+	derived     any
+}
+
+// Derived returns the value build derives from the structure, running
+// build on the first call only; later calls, from any goroutine, share its
+// result. It memoizes a structure-wide table for a layer this package
+// cannot import: package numeric keeps its precompiled BMOD plan here, so
+// every factor of one structure shares one plan.
+func (bs *Structure) Derived(build func() any) any {
+	bs.derivedOnce.Do(func() { bs.derived = build() })
+	return bs.derived
 }
 
 // N returns the number of panels (block rows = block columns).

@@ -123,12 +123,20 @@ type Executor struct {
 	slotDone   []int32 // block → executed pairings (claim-holder private)
 	active     []int32 // block → activation claim flag (atomic CAS)
 	seeds      [][]int32
+	domCols    [][]int32 // worker → its domain panels, in column order (nil: no domain tasks)
 	workers    []wsWorker
 	blocksLeft atomic.Int32
 	doneCh     chan struct{}
 	doneOnce   sync.Once
 	sleepers   atomic.Int32
 	parkCh     chan struct{}
+	// cancelled is set when the run's context ends, before the resulting
+	// fail(): domain tasks stop on it, never on a peer's failure.
+	cancelled atomic.Bool
+	// domainColumnDone, when non-nil, is called by a worker after each
+	// domain column it completes: a fixed point inside a domain task for
+	// tests to act at.
+	domainColumnDone func(worker int32, k int)
 
 	// Restricted-mode state (nil/unused otherwise); see steal.go.
 	restrict  *Restriction
@@ -421,6 +429,7 @@ func (ex *Executor) RunContext(ctx context.Context) (Stats, error) {
 			defer close(watcherExit)
 			select {
 			case <-done:
+				ex.cancelled.Store(true)
 				ex.fail(ctx.Err())
 			case <-stop:
 			case <-ex.abort:

@@ -45,10 +45,24 @@ import (
 // count, so the sync/atomic happens-before edges make the numeric payload
 // race-free without any additional locking.
 //
+// Domain tasks: when the schedule has §2.3 domains (sched.Program.DomOwner)
+// and the executor is unrestricted, each worker first factors the domain
+// panels it owns as direct calls, in column order, with no counters,
+// queues or deques (runDomains). Every BMOD into a domain panel has its
+// sources in an earlier panel of the same domain, so column order is a
+// valid order and these pairings never enter srcLeft or the slot queues.
+// Pairings from a domain column into the root are published to their
+// destination queues as soon as the column is final. The many tiny
+// operations of the domains thus cost roughly their flops. The root keeps
+// per-op scheduling, and so do restricted executors: they hand every
+// completed block to the node's fan-out and may start from predone
+// blocks, and their workers own no domain.
+//
 // The deterministic first-error contract is preserved exactly as in SPMD
-// mode: every worker always attempts all of its seed BFACs (stopping at
-// its own first failure) before entering the scheduling loop, and fail()
-// ranks errors so the lowest (Block, Row) breakdown wins.
+// mode: every worker always attempts all of its domain operations and seed
+// BFACs (stopping at its own first failure, or at the run's cancellation,
+// never at a peer's failure) before entering the scheduling loop, and
+// fail() ranks errors so the lowest (Block, Row) breakdown wins.
 
 // wsWorker is one worker of the stealing pool.
 type wsWorker struct {
@@ -99,6 +113,20 @@ func (ex *Executor) initSteal() {
 			ex.srcInit[p] = 2
 		}
 	}
+	// Domain tasks, unless restricted. Each domain panel is listed under
+	// its owner, in column order.
+	if pr.DomOwner != nil && ex.restrict == nil {
+		ex.domCols = make([][]int32, np)
+		for j, p := range pr.DomOwner {
+			if p >= int32(np) {
+				ex.domCols = nil
+				break
+			}
+			if p >= 0 {
+				ex.domCols[p] = append(ex.domCols[p], int32(j))
+			}
+		}
+	}
 	ex.finInit = make([]int32, pr.NBlocks)
 	ex.finLeft = make([]int32, pr.NBlocks)
 	ex.slotHead = make([]int32, pr.NBlocks)
@@ -129,14 +157,15 @@ func (ex *Executor) initSteal() {
 	}
 
 	// Seeds: diagonal blocks with no pending modifications, grouped by
-	// owner so the deterministic-error contract matches SPMD mode. A
-	// restricted executor seeds only the blocks it executes, spread
-	// round-robin (its workers have no ownership identity).
+	// owner so the deterministic-error contract matches SPMD mode; domain
+	// tasks cover those of domain panels. A restricted executor seeds only
+	// the blocks it executes, spread round-robin (its workers have no
+	// ownership identity).
 	ex.seeds = make([][]int32, np)
 	rr := 0
 	for j := range pr.BS.Cols {
 		id := pr.BlockID(j, 0)
-		if pr.NMods[id] != 0 {
+		if pr.NMods[id] != 0 || ex.domCols != nil && pr.DomOwner[j] >= 0 {
 			continue
 		}
 		if ex.restrict != nil {
@@ -192,6 +221,7 @@ func (ex *Executor) resetSteal() {
 		ex.doneOnce.Do(func() { close(ex.doneCh) })
 	}
 	ex.sleepers.Store(0)
+	ex.cancelled.Store(false)
 	for {
 		select {
 		case <-ex.parkCh:
@@ -218,7 +248,10 @@ func (ex *Executor) resetSteal() {
 // run is the body of one worker goroutine.
 func (w *wsWorker) run() {
 	ex := w.ex
-	// Seeds first, unconditionally — no abort poll, stopping only at this
+	if ex.domCols != nil && !w.runDomains() {
+		return
+	}
+	// Seeds next, unconditionally — no abort poll, stopping only at this
 	// worker's own first failure — so a breakdown in an unmodified
 	// diagonal block is detected on every run regardless of interleaving
 	// and the ranked fail() reports the lowest (Block, Row)
@@ -330,10 +363,74 @@ func (w *wsWorker) execPair(p int32) {
 	}
 }
 
-// finish runs a block's completing operation (BFAC or BDIV). The caller
-// guarantees exclusivity: either the block is a seed, or the caller just
-// took finLeft to zero.
+// runDomains factors this worker's domain panels as direct calls, in
+// column order: the column's BFAC and BDIVs, then its BMODs. A BMOD whose
+// destination lies in a domain panel runs here (the panel is this
+// worker's, and every one of its earlier updates has run); one into a root
+// panel is published to its destination queue, its sources being final.
+// Like the seeds, the loop ignores a peer's failure: it stops only at its
+// own failure or at the run's cancellation, and reports false then.
+func (w *wsWorker) runDomains() bool {
+	ex := w.ex
+	pr := ex.pr
+	for _, k32 := range ex.domCols[w.me] {
+		k := int(k32)
+		blks := pr.BS.Cols[k].Blocks
+		for bi := range blks {
+			if ex.cancelled.Load() || !w.ownOp(pr.BlockID(k, bi)) {
+				return false
+			}
+		}
+		base := pr.ModBase[k]
+		// Block rows ascend, and a domain panel's ancestors leave the
+		// domain for good, so the root destinations are the last jbs.
+		// Publish those first: thieves can start on them at once.
+		root := len(blks)
+		for root > 1 && pr.DomOwner[blks[root-1].I] < 0 {
+			root--
+		}
+		for jb := root; jb < len(blks); jb++ {
+			for ia := jb; ia < len(blks); ia++ {
+				w.ready(int32(base + (ia-1)*ia/2 + jb - 1))
+			}
+		}
+		for jb := 1; jb < root; jb++ {
+			for ia := jb; ia < len(blks); ia++ {
+				if ex.cancelled.Load() {
+					return false
+				}
+				t0 := ex.rec.Start()
+				if err := ex.f.BMOD(k, ia, jb, &w.ws); err != nil {
+					ex.fail(err)
+					w.failed = true
+					return false
+				}
+				ex.rec.Record(w.me, obs.OpBMOD, pr.ModDest[base+(ia-1)*ia/2+jb-1], pr.BlockID(k, ia), t0)
+				w.pace(pr.ModFlops(k, ia, jb))
+			}
+		}
+		if ex.blocksLeft.Add(-int32(len(blks))) == 0 {
+			ex.doneOnce.Do(func() { close(ex.doneCh) })
+		}
+		if ex.domainColumnDone != nil {
+			ex.domainColumnDone(w.me, k)
+		}
+	}
+	return true
+}
+
+// finish runs a block's completing operation (BFAC or BDIV) and hands the
+// block on. The caller guarantees exclusivity: either the block is a seed,
+// or the caller just took finLeft to zero.
 func (w *wsWorker) finish(id int32) {
+	if w.ownOp(id) {
+		w.completed(id)
+	}
+}
+
+// ownOp runs block id's completing operation, reporting false (after
+// failing the run) on a breakdown.
+func (w *wsWorker) ownOp(id int32) bool {
 	ex := w.ex
 	k, idx := int(ex.pr.ColOf[id]), int(ex.pr.IdxOf[id])
 	t0 := ex.rec.Start()
@@ -341,19 +438,19 @@ func (w *wsWorker) finish(id int32) {
 		if err := ex.f.BFAC(k); err != nil {
 			ex.fail(err)
 			w.failed = true
-			return
+			return false
 		}
 		ex.rec.Record(w.me, obs.OpBFAC, id, -1, t0)
 	} else {
 		if err := ex.f.BDIV(k, idx); err != nil {
 			ex.fail(err)
 			w.failed = true
-			return
+			return false
 		}
 		ex.rec.Record(w.me, obs.OpBDIV, id, -1, t0)
 	}
 	w.pace(ex.pr.OwnOpFlops[id])
-	w.completed(id)
+	return true
 }
 
 // completed handles a locally executed block's completion: hand it to the

@@ -7,6 +7,8 @@ package numeric
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 
 	"blockfanout/internal/blocks"
 	"blockfanout/internal/kernels"
@@ -15,41 +17,56 @@ import (
 
 // Factor holds the numeric data of every block of L. Data[j][bi] is the
 // dense storage of bs.Cols[j].Blocks[bi]: w×w row-major for the diagonal
-// block (bi == 0), r×w row-major for off-diagonal blocks.
+// block (bi == 0), r×w row-major for off-diagonal blocks. Every block is a
+// full-capacity slice of one value slab, packed in (column, block-index)
+// order, and the per-column headers are slices of one header array.
 type Factor struct {
 	BS   *blocks.Structure
 	Data [][][]float64
+	vals []float64 // the slab Data's blocks are cut from
+	plan *bmodPlan // the structure's BMOD plan, addressing vals
 	// scatter maps each nonzero position p of the matrix the factor was
-	// built from to its destination slot in Data — the precomputed symbolic
-	// half of the scatter, which is what lets Reload refill the factor with
-	// new numeric values without touching the block structure.
-	scatter []scatterRef
-}
-
-// scatterRef addresses one Data slot: Data[J][BI][Off].
-type scatterRef struct {
-	J, BI, Off int32
+	// built from to its destination offset in vals — the precomputed
+	// symbolic half of the scatter, which is what lets Reload refill the
+	// factor with new numeric values without touching the block structure.
+	scatter []int32
 }
 
 // New allocates the factor and scatters the (permuted) matrix a into it.
-// a must be the same matrix the block structure was built from.
+// a must be the same matrix the block structure was built from. The block
+// storage is three allocations (values, block headers, column headers)
+// whatever the block count.
 func New(bs *blocks.Structure, a *sparse.Matrix) (*Factor, error) {
 	if a.N != len(bs.Part.PanelOf) {
 		return nil, fmt.Errorf("numeric: matrix n=%d does not match partition n=%d", a.N, len(bs.Part.PanelOf))
 	}
+	plan, err := planOf(bs)
+	if err != nil {
+		return nil, err
+	}
 	f := &Factor{
 		BS:      bs,
 		Data:    make([][][]float64, bs.N()),
-		scatter: make([]scatterRef, a.NNZ()),
+		vals:    make([]float64, plan.size),
+		plan:    plan,
+		scatter: make([]int32, a.NNZ()),
 	}
 	part := bs.Part
+	nblk := 0
+	for j := range bs.Cols {
+		nblk += len(bs.Cols[j].Blocks)
+	}
+	hdr := make([][]float64, nblk)
+	off := 0
 	for j := range bs.Cols {
 		w := part.Width(j)
 		col := &bs.Cols[j]
-		f.Data[j] = make([][]float64, len(col.Blocks))
+		nb := len(col.Blocks)
+		f.Data[j], hdr = hdr[:nb:nb], hdr[nb:]
 		for bi := range col.Blocks {
-			r := len(col.Blocks[bi].Rows)
-			f.Data[j][bi] = make([]float64, r*w)
+			n := len(col.Blocks[bi].Rows) * w
+			f.Data[j][bi] = f.vals[off : off+n : off+n]
+			off += n
 		}
 	}
 	// Scatter A's lower triangle, recording each entry's destination.
@@ -58,13 +75,14 @@ func New(bs *blocks.Structure, a *sparse.Matrix) (*Factor, error) {
 		lc := gcol - part.Start[j]
 		w := part.Width(j)
 		col := &bs.Cols[j]
-		bi := 0
+		bi, boff := 0, int(plan.colOff[j])
 		for p := a.ColPtr[gcol]; p < a.ColPtr[gcol+1]; p++ {
 			grow := a.RowInd[p]
 			rowPanel := part.PanelOf[grow]
 			// Advance to the block holding rowPanel (rows are sorted, so
 			// entries visit blocks in increasing order).
 			for bi < len(col.Blocks) && col.Blocks[bi].I < rowPanel {
+				boff += len(col.Blocks[bi].Rows) * w
 				bi++
 			}
 			if bi >= len(col.Blocks) || col.Blocks[bi].I != rowPanel {
@@ -75,8 +93,9 @@ func New(bs *blocks.Structure, a *sparse.Matrix) (*Factor, error) {
 			if lr < 0 {
 				return nil, fmt.Errorf("numeric: row %d missing from block (%d,%d)", grow, b.I, j)
 			}
-			f.Data[j][bi][lr*w+lc] = a.Val[p]
-			f.scatter[p] = scatterRef{J: int32(j), BI: int32(bi), Off: int32(lr*w + lc)}
+			dst := boff + lr*w + lc
+			f.vals[dst] = a.Val[p]
+			f.scatter[p] = int32(dst)
 		}
 	}
 	return f, nil
@@ -95,17 +114,9 @@ func (f *Factor) Reload(values []float64) error {
 	if len(values) != len(f.scatter) {
 		return fmt.Errorf("numeric: Reload got %d values, factor holds %d nonzeros", len(values), len(f.scatter))
 	}
-	for j := range f.Data {
-		for bi := range f.Data[j] {
-			d := f.Data[j][bi]
-			for i := range d {
-				d[i] = 0
-			}
-		}
-	}
-	for p := range f.scatter {
-		s := &f.scatter[p]
-		f.Data[s.J][s.BI][s.Off] = values[p]
+	clear(f.vals)
+	for p, dst := range f.scatter {
+		f.vals[dst] = values[p]
 	}
 	return nil
 }
@@ -123,23 +134,28 @@ func (f *Factor) ReloadWhere(values []float64, keep func(j, bi int) bool) error 
 	if len(values) != len(f.scatter) {
 		return fmt.Errorf("numeric: Reload got %d values, factor holds %d nonzeros", len(values), len(f.scatter))
 	}
+	// Block starts in slab order, and whether each block is kept: the
+	// scatter records slab offsets, so each entry's block is found by a
+	// search over starts. This is the failover path, not the refactor one.
+	var starts []int
+	var kept []bool
+	off := 0
 	for j := range f.Data {
-		for bi := range f.Data[j] {
-			if keep(j, bi) {
-				continue
-			}
-			d := f.Data[j][bi]
-			for i := range d {
-				d[i] = 0
+		for bi, d := range f.Data[j] {
+			k := keep(j, bi)
+			starts = append(starts, off)
+			kept = append(kept, k)
+			off += len(d)
+			if !k {
+				clear(d)
 			}
 		}
 	}
-	for p := range f.scatter {
-		s := &f.scatter[p]
-		if keep(int(s.J), int(s.BI)) {
+	for p, dst := range f.scatter {
+		if kept[sort.SearchInts(starts, int(dst)+1)-1] {
 			continue
 		}
-		f.Data[s.J][s.BI][s.Off] = values[p]
+		f.vals[dst] = values[p]
 	}
 	return nil
 }
@@ -237,83 +253,56 @@ func (f *Factor) MaxBlockRows() int {
 // Blocks[ia].I ≥ Blocks[jb].I. ws supplies the index scratch, reused
 // across calls.
 //
-// While building the index maps BMOD classifies the destination once per
-// (k, ia, jb) pairing: when the source rows land in consecutive
-// destination rows and columns the update dispatches to the
-// no-indirection contiguous kernel, otherwise to the scattered (or, for
-// diagonal destinations, lower-masked) kernel.
+// The destination comes from the structure's precompiled plan (see
+// bmodPlan): a diagonal destination goes to the lower-masked kernel, a
+// destination whose rows and columns are both consecutive to the
+// no-indirection contiguous kernel, and any other to the scattered kernel.
+// Column maps and diagonal row maps are subtractions; only row-scattered
+// pairings read positions from the plan.
 func (f *Factor) BMOD(k, ia, jb int, ws *Workspace) error {
 	colK := &f.BS.Cols[k]
 	srcA, srcB := &colK.Blocks[ia], &colK.Blocks[jb]
-	destI, destJ := srcA.I, srcB.I
-	if destI < destJ {
-		return fmt.Errorf("numeric: BMOD sources out of order (I=%d < J=%d)", destI, destJ)
+	if srcA.I < srcB.I {
+		return fmt.Errorf("numeric: BMOD sources out of order (I=%d < J=%d)", srcA.I, srcB.I)
 	}
 	part := f.BS.Part
-	destCol := &f.BS.Cols[destJ]
-	dbi := findBlock(destCol, destI)
-	if dbi < 0 {
-		return fmt.Errorf("numeric: BMOD dest (%d,%d) missing", destI, destJ)
-	}
-	dest := &destCol.Blocks[dbi]
-	wK := part.Width(k)
-	wJ := part.Width(destJ)
+	destJ := srcB.I
+	wK, wJ := part.Width(k), part.Width(destJ)
 	ra, rb := len(srcA.Rows), len(srcB.Rows)
-
-	// relRow[s]: position of srcA.Rows[s] in dest.Rows (merge of two
-	// sorted lists). relCol[t]: srcB.Rows[t] − Start[destJ]. Contiguity of
-	// each map is detected here, fused into the same pass that builds it.
-	ws.Reserve(ra)
-	ws.Reserve(rb)
-	relRow := ws.relRow[:ra]
-	relCol := ws.relCol[:rb]
-	rowContig := true
-	d := 0
-	for s, g := range srcA.Rows {
-		for d < len(dest.Rows) && dest.Rows[d] < g {
-			d++
-		}
-		if d >= len(dest.Rows) || dest.Rows[d] != g {
-			return fmt.Errorf("numeric: BMOD row %d of source (%d,%d) missing from dest (%d,%d)", g, destI, k, destI, destJ)
-		}
-		relRow[s] = d
-		rowContig = rowContig && d == relRow[0]+s
-	}
+	a, b := f.Data[k][ia], f.Data[k][jb]
+	e := f.plan.ent[int(f.plan.base[k])+(ia-1)*ia/2+jb-1]
 	start := part.Start[destJ]
-	colContig := true
+	ws.Reserve(max(ra, rb))
+	relRow, relCol := ws.relRow[:ra], ws.relCol[:rb]
+	if ia == jb {
+		for s, g := range srcA.Rows {
+			relRow[s] = g - start
+		}
+		for t, g := range srcB.Rows {
+			relCol[t] = g - start
+		}
+		kernels.MulSubLower(f.vals[e:], wJ, a, ra, b, rb, wK, relRow, relCol, srcA.Rows, srcB.Rows, &ws.pack)
+		return nil
+	}
+	var c []float64
+	if e >= 0 {
+		// Consecutive destination rows starting at vals[e].
+		c = f.vals[e:]
+		if srcB.Rows[rb-1]-srcB.Rows[0] == rb-1 {
+			kernels.MulSubContig(c[srcB.Rows[0]-start:], wJ, a, ra, b, rb, wK, &ws.pack)
+			return nil
+		}
+		for s := range relRow {
+			relRow[s] = s
+		}
+	} else {
+		c = f.vals[f.plan.scattered(e, relRow):]
+	}
 	for t, g := range srcB.Rows {
 		relCol[t] = g - start
-		colContig = colContig && g-start == relCol[0]+t
 	}
-	cd := f.Data[destJ][dbi]
-	switch {
-	case destI == destJ:
-		kernels.MulSubLower(cd, wJ, f.Data[k][ia], ra, f.Data[k][jb], rb, wK,
-			relRow, relCol, srcA.Rows, srcB.Rows, &ws.pack)
-	case rowContig && colContig:
-		kernels.MulSubContig(cd[relRow[0]*wJ+relCol[0]:], wJ,
-			f.Data[k][ia], ra, f.Data[k][jb], rb, wK, &ws.pack)
-	default:
-		kernels.MulSubScattered(cd, wJ, f.Data[k][ia], ra, f.Data[k][jb], rb, wK,
-			relRow, relCol, &ws.pack)
-	}
+	kernels.MulSubScattered(c, wJ, a, ra, b, rb, wK, relRow, relCol, &ws.pack)
 	return nil
-}
-
-func findBlock(col *blocks.BlockCol, i int) int {
-	lo, hi := 0, len(col.Blocks)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if col.Blocks[mid].I < i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(col.Blocks) && col.Blocks[lo].I == i {
-		return lo
-	}
-	return -1
 }
 
 // FactorSequential runs the right-looking block factorization on a single
@@ -343,52 +332,10 @@ func (f *Factor) FactorSequential() error {
 	return nil
 }
 
-// Solve solves L·Lᵀ·x = b in the permuted index space, overwriting and
-// returning x (b is not modified).
+// Solve solves L·Lᵀ·x = b in the permuted index space and returns x (b is
+// not modified). It is SolveN's one-vector case.
 func (f *Factor) Solve(b []float64) []float64 {
-	part := f.BS.Part
-	x := append([]float64(nil), b...)
-	n := f.BS.N()
-	// Forward: L·y = b.
-	for k := 0; k < n; k++ {
-		w := part.Width(k)
-		start := part.Start[k]
-		seg := x[start : start+w]
-		kernels.ForwardSolveDiag(f.Data[k][0], w, seg)
-		col := &f.BS.Cols[k]
-		for bi := 1; bi < len(col.Blocks); bi++ {
-			blk := &col.Blocks[bi]
-			data := f.Data[k][bi]
-			for s, g := range blk.Rows {
-				row := data[s*w : s*w+w]
-				var sum float64
-				for t := 0; t < w; t++ {
-					sum += row[t] * seg[t]
-				}
-				x[g] -= sum
-			}
-		}
-	}
-	// Backward: Lᵀ·x = y.
-	for k := n - 1; k >= 0; k-- {
-		w := part.Width(k)
-		start := part.Start[k]
-		seg := x[start : start+w]
-		col := &f.BS.Cols[k]
-		for bi := 1; bi < len(col.Blocks); bi++ {
-			blk := &col.Blocks[bi]
-			data := f.Data[k][bi]
-			for s, g := range blk.Rows {
-				row := data[s*w : s*w+w]
-				xg := x[g]
-				for t := 0; t < w; t++ {
-					seg[t] -= row[t] * xg
-				}
-			}
-		}
-		kernels.BackSolveDiag(f.Data[k][0], w, seg)
-	}
-	return x
+	return f.SolveN([][]float64{b})[0]
 }
 
 // SolveN solves L·Lᵀ·X = B for several right-hand sides in one pair of
@@ -469,23 +416,20 @@ func (f *Factor) NNZ() int64 {
 // ExportBlocks copies every block's dense payload out of the factor in
 // (column, block-index) order — the canonical flattening the snapshot
 // store persists. The copies are private: later factorizations or reloads
-// cannot mutate an exported snapshot under a concurrent writer. All block
-// copies share one backing array: the export runs on the request path
-// (under the factor entry's lock), and one large allocation plus straight
-// memcpy is severalfold cheaper than thousands of per-block allocations.
+// cannot mutate an exported snapshot under a concurrent writer. The slab
+// already holds the blocks in that order, so the export is one copy of it
+// (the call runs on the request path, under the factor entry's lock),
+// sliced per block.
 func (f *Factor) ExportBlocks() [][]float64 {
-	var nblk, nval int
+	nblk := 0
 	for j := range f.Data {
 		nblk += len(f.Data[j])
-		for bi := range f.Data[j] {
-			nval += len(f.Data[j][bi])
-		}
 	}
 	out := make([][]float64, 0, nblk)
-	buf := make([]float64, nval)
+	buf := slices.Clone(f.vals)
 	for j := range f.Data {
-		for bi := range f.Data[j] {
-			n := copy(buf, f.Data[j][bi])
+		for _, d := range f.Data[j] {
+			n := len(d)
 			out = append(out, buf[:n:n])
 			buf = buf[n:]
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"blockfanout/internal/blocks"
-	"blockfanout/internal/etree"
 	"blockfanout/internal/gen"
 	ord "blockfanout/internal/order"
 	"blockfanout/internal/sparse"
@@ -16,23 +15,7 @@ import (
 // block structure and the permuted matrix.
 func setup(t *testing.T, m *sparse.Matrix, method ord.Method, gridDim, b int) (*blocks.Structure, *sparse.Matrix) {
 	t.Helper()
-	p, err := ord.Compute(method, m, gridDim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, err := m.Permute(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	po := etree.Build(m1).Postorder()
-	m2, err := m1.Permute(po)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := symbolic.Analyze(m2, symbolic.DefaultAmalgamation())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, m2 := analyze(t, m, method, gridDim, symbolic.DefaultAmalgamation())
 	bs, err := blocks.Build(st, blocks.NewPartition(st, b))
 	if err != nil {
 		t.Fatal(err)

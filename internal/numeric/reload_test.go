@@ -91,3 +91,41 @@ func TestReloadAllocs(t *testing.T) {
 		t.Fatalf("Reload allocated %.1f times per call; want 0", avg)
 	}
 }
+
+// TestReloadWhereKeepsChosenBlocks checks ReloadWhere on the one-slab
+// storage: kept blocks hold their factored values, every other block holds
+// exactly what New scattered into it.
+func TestReloadWhereKeepsChosenBlocks(t *testing.T) {
+	bs, pm := setup(t, gen.IrregularMesh(180, 5, 3, 13), ord.MinDegree, 0, 8)
+	f, err := New(bs, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(bs, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.FactorSequential(); err != nil {
+		t.Fatal(err)
+	}
+	factored := f.ExportBlocks()
+	keep := func(j, bi int) bool { return (j+bi)%3 == 0 }
+	if err := f.ReloadWhere(pm.Val, keep); err != nil {
+		t.Fatal(err)
+	}
+	id := 0
+	for j := range f.Data {
+		for bi, got := range f.Data[j] {
+			want := fresh.Data[j][bi]
+			if keep(j, bi) {
+				want = factored[id]
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("block (%d,%d)[%d] = %g, want %g (kept %v)", j, bi, i, got[i], want[i], keep(j, bi))
+				}
+			}
+			id++
+		}
+	}
+}

@@ -81,6 +81,16 @@ type Program struct {
 	ModBase []int
 	ModDest []int32
 
+	// DomOwner maps each panel to the processor whose §2.3 domain holds
+	// it, or −1 for a panel of the 2-D mapped root; nil when the assignment
+	// has no domains. Domains are whole elimination subtrees, so every
+	// BMOD into a domain panel has its sources in a panel of the same
+	// domain, and a domain column's root block rows follow all of its
+	// domain ones: the owner can factor its domain panels alone, in column
+	// order. Build keeps DomOwner only when the block structure confirms
+	// both properties.
+	DomOwner []int32
+
 	// IncomingRemote[p] counts deliveries to p from other processors
 	// (used to size channels so sends can never block).
 	IncomingRemote []int
@@ -184,17 +194,19 @@ func Build(bs *blocks.Structure, a Assignment) *Program {
 		}
 	}
 
-	// Dependency counts and own-op flop costs.
+	// Own-op flop costs. ForEachOp visits column k's BFAC and then its
+	// BDIVs in block order, so the ids follow without a search.
+	var next int32
 	bs.ForEachOp(func(op blocks.Op) {
 		switch op.Kind {
 		case blocks.BFAC:
-			pr.OwnOpFlops[pr.BlockID(op.K, 0)] = op.Flops
+			next = pr.BlockID(op.K, 0)
 		case blocks.BDIV:
-			id := pr.findID(op.I, op.K)
-			pr.OwnOpFlops[id] = op.Flops
-		case blocks.BMOD:
-			pr.NMods[pr.findID(op.I, op.J)]++
+			next++
+		default:
+			return
 		}
+		pr.OwnOpFlops[next] = op.Flops
 	})
 
 	// Consumer lists. procMark/gen implement an O(1)-reset membership set.
@@ -236,7 +248,8 @@ func Build(bs *blocks.Structure, a Assignment) *Program {
 	}
 
 	// BMOD destination table: one binary search per pairing here at build
-	// time removes every FindID call from the executors' inner loops.
+	// time removes every FindID call from the executors' inner loops. The
+	// modification counts are its histogram.
 	pr.ModBase = make([]int, ncols+1)
 	total := 0
 	for k := 0; k < ncols; k++ {
@@ -255,6 +268,12 @@ func Build(bs *blocks.Structure, a Assignment) *Program {
 			}
 		}
 	}
+	for _, id := range pr.ModDest {
+		pr.NMods[id]++
+	}
+	if a.Dom != nil {
+		pr.DomOwner = domainOwners(bs, a.Dom.PanelOwner)
+	}
 
 	for id := 0; id < nb; id++ {
 		for _, p := range pr.Consumers[id] {
@@ -266,6 +285,29 @@ func Build(bs *blocks.Structure, a Assignment) *Program {
 		}
 	}
 	return pr
+}
+
+// domainOwners returns the per-panel domain owners, or nil when some
+// column's block rows break the domain closure: a row in a domain panel of
+// another owner, or a domain row after a root one (from a root column,
+// every row is after a root one).
+func domainOwners(bs *blocks.Structure, panelOwner []int) []int32 {
+	own := make([]int32, len(panelOwner))
+	for j, p := range panelOwner {
+		own[j] = int32(p)
+	}
+	for k := range bs.Cols {
+		inRoot := own[k] < 0
+		for _, b := range bs.Cols[k].Blocks[1:] {
+			switch {
+			case own[b.I] < 0:
+				inRoot = true
+			case inRoot || own[b.I] != own[k]:
+				return nil
+			}
+		}
+	}
+	return own
 }
 
 // findID returns the block id of block (i,j), panicking if absent (the

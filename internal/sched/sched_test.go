@@ -276,3 +276,71 @@ func TestModDestTableMatchesFindID(t *testing.T) {
 		t.Fatalf("ModDest has %d entries, want %d", len(pr.ModDest), want)
 	}
 }
+
+// TestNModsCountEveryDestination checks the modification counts, now the
+// histogram of the ModDest table, block by block against an independent
+// count over the op enumeration.
+func TestNModsCountEveryDestination(t *testing.T) {
+	_, bs := setup(t, gen.IrregularMesh(300, 5, 3, 17), ord.MinDegree, 0, 6)
+	pr := Build(bs, Assignment{Map: mapping.Cyclic(mapping.Grid{Pr: 2, Pc: 2}, bs.N())})
+	want := make([]int32, pr.NBlocks)
+	bs.ForEachOp(func(op blocks.Op) {
+		if op.Kind != blocks.BMOD {
+			return
+		}
+		for idx := range bs.Cols[op.J].Blocks {
+			if bs.Cols[op.J].Blocks[idx].I == op.I {
+				want[pr.BlockID(op.J, idx)]++
+			}
+		}
+	})
+	for id := range want {
+		if pr.NMods[id] != want[id] {
+			t.Fatalf("block %d: NMods %d, want %d", id, pr.NMods[id], want[id])
+		}
+	}
+}
+
+// TestDomOwnerKeepsClosedDomains checks that Build keeps the domain owners
+// of a domains.Select assignment and drops ones that break the closure
+// (here: one domain panel handed to another processor than its domain).
+func TestDomOwnerKeepsClosedDomains(t *testing.T) {
+	st, bs := setup(t, gen.Grid2D(16), ord.NDGrid2D, 16, 4)
+	g := mapping.Grid{Pr: 2, Pc: 2}
+	m := mapping.Cyclic(g, bs.N())
+	dom := domains.Select(st, bs, g.P(), 2)
+	pr := Build(bs, Assignment{Map: m, Dom: dom})
+	if len(pr.DomOwner) != bs.N() {
+		t.Fatalf("DomOwner has %d entries for %d panels", len(pr.DomOwner), bs.N())
+	}
+	for j, o := range dom.PanelOwner {
+		if int(pr.DomOwner[j]) != o {
+			t.Fatalf("panel %d: DomOwner %d, domain owner %d", j, pr.DomOwner[j], o)
+		}
+	}
+	if Build(bs, Assignment{Map: m}).DomOwner != nil {
+		t.Fatal("DomOwner set without domains")
+	}
+
+	// Move the parent panel of some domain panel to another processor: a
+	// BMOD from the child would cross domains.
+	broken := *dom
+	broken.PanelOwner = append([]int(nil), dom.PanelOwner...)
+	moved := false
+	for k := range bs.Cols {
+		if len(bs.Cols[k].Blocks) < 2 || dom.PanelOwner[k] < 0 {
+			continue
+		}
+		if up := bs.Cols[k].Blocks[1].I; dom.PanelOwner[up] == dom.PanelOwner[k] {
+			broken.PanelOwner[up] = (dom.PanelOwner[k] + 1) % g.P()
+			moved = true
+			break
+		}
+	}
+	if !moved {
+		t.Fatal("no domain panel with a parent in its domain")
+	}
+	if Build(bs, Assignment{Map: m, Dom: &broken}).DomOwner != nil {
+		t.Fatal("Build kept domains that break the closure")
+	}
+}
