@@ -137,15 +137,22 @@ func NewPlan(a *sparse.Matrix, opts Options) (*Plan, error) {
 	if opts.BlockSize <= 0 {
 		opts.BlockSize = DefaultBlockSize
 	}
-	fillPerm, err := order.Compute(opts.Ordering, a, opts.GridDim)
+	// One graph serves the ordering and the elimination tree of the
+	// fill-permuted matrix, which is never formed: only the final
+	// permutation (fill-reducing ∘ postorder) is applied, once.
+	pat := sparse.PatternOf(a)
+	fillPerm, err := order.ComputePattern(opts.Ordering, pat, opts.GridDim)
 	if err != nil {
 		return nil, err
 	}
-	a1, err := a.Permute(fillPerm)
-	if err != nil {
-		return nil, err
+	if len(fillPerm) != a.N {
+		return nil, fmt.Errorf("core: ordering %v gave %d labels for n=%d", opts.Ordering, len(fillPerm), a.N)
 	}
-	po := etree.Build(a1).Postorder()
+	if err := fillPerm.Validate(); err != nil {
+		return nil, fmt.Errorf("core: ordering %v: %w", opts.Ordering, err)
+	}
+	parent := etree.PatternParent(pat, fillPerm)
+	po := etree.Postorder(parent)
 	perm := fillPerm.Compose(po)
 	pa, vmap, err := a.PermuteWithMap(perm)
 	if err != nil {
@@ -160,7 +167,7 @@ func NewPlan(a *sparse.Matrix, opts Options) (*Plan, error) {
 	if opts.Amalgamation != nil {
 		amalg = *opts.Amalgamation
 	}
-	sym, err := symbolic.Analyze(pa, amalg)
+	sym, err := symbolic.AnalyzeTree(pa, etree.Relabel(parent, po), amalg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,76 +1,76 @@
 // Package etree computes the elimination tree of a symmetric sparse matrix
 // and the derived quantities used throughout the reproduction: postorder,
-// per-column nonzero counts of the Cholesky factor (via row-subtree
-// traversal), per-node depths (for the paper's Increasing Depth mapping
-// heuristic), and per-subtree work (for domain selection).
+// per-column nonzero counts of the Cholesky factor (Gilbert–Ng–Peyton),
+// per-node depths (for the paper's Increasing Depth mapping heuristic), and
+// per-subtree work (for domain selection).
 package etree
 
 import "blockfanout/internal/sparse"
 
-// rowAdj returns, for each row i, the sorted columns j < i with A(i,j) ≠ 0.
-// This is the strict upper triangle of the CSC lower-triangular input,
-// i.e. the transpose access path needed by Liu's algorithms.
-func rowAdj(m *sparse.Matrix) (ptr, ind []int) {
-	n := m.N
-	ptr = make([]int, n+1)
-	for j := 0; j < n; j++ {
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			if i := m.RowInd[p]; i != j {
-				ptr[i+1]++
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		ptr[i+1] += ptr[i]
-	}
-	ind = make([]int, ptr[n])
-	next := append([]int(nil), ptr[:n]...)
-	for j := 0; j < n; j++ {
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			if i := m.RowInd[p]; i != j {
-				ind[next[i]] = j
-				next[i]++
-			}
-		}
-	}
-	// Columns are appended in increasing j, so each row list is sorted.
-	return ptr, ind
-}
-
-// Tree holds the elimination tree of a matrix along with the row-adjacency
-// view used to build it (kept because column counting reuses it).
+// Tree holds the elimination tree of a matrix.
 type Tree struct {
 	Parent []int // Parent[j] = etree parent of column j, -1 for roots
-	rowPtr []int
-	rowInd []int
+	m      *sparse.Matrix
 }
 
 // Build computes the elimination tree of the lower-triangular CSC matrix m
 // using Liu's algorithm with path compression.
 func Build(m *sparse.Matrix) *Tree {
 	n := m.N
-	parent := make([]int, n)
-	anc := make([]int, n)
+	ptr, ind := m.LowerRows()
+	parent, anc := newLiu(n)
+	for i := 0; i < n; i++ {
+		for _, r := range ind[ptr[i]:ptr[i+1]] {
+			liuLink(parent, anc, r, i)
+		}
+	}
+	return &Tree{Parent: parent, m: m}
+}
+
+// PatternParent returns the elimination tree (parent array) of P·A·Pᵀ,
+// where p is the graph of A and perm[new] = old, without forming the
+// permuted matrix: row k of P·A·Pᵀ holds the neighbours u of perm[k] with
+// perm⁻¹(u) < k. The tree is the same as Build's on the permuted matrix.
+func PatternParent(p *sparse.Pattern, perm []int) []int {
+	n := p.N
+	inv := make([]int, n)
+	for k, v := range perm {
+		inv[v] = k
+	}
+	parent, anc := newLiu(n)
+	for k, v := range perm {
+		for _, u := range p.Adj(v) {
+			if r := inv[u]; r < k {
+				liuLink(parent, anc, r, k)
+			}
+		}
+	}
+	return parent
+}
+
+func newLiu(n int) (parent, anc []int) {
+	parent = make([]int, n)
+	anc = make([]int, n)
 	for i := range parent {
 		parent[i] = -1
 		anc[i] = -1
 	}
-	ptr, ind := rowAdj(m)
-	for i := 0; i < n; i++ {
-		for p := ptr[i]; p < ptr[i+1]; p++ {
-			r := ind[p]
-			for anc[r] != -1 && anc[r] != i {
-				next := anc[r]
-				anc[r] = i
-				r = next
-			}
-			if anc[r] == -1 {
-				anc[r] = i
-				parent[r] = i
-			}
-		}
+	return parent, anc
+}
+
+// liuLink adds the entry A(i,r), r < i, to Liu's algorithm: it climbs
+// from r to the root of r's current subtree, compressing the path onto i,
+// and makes i that root's parent if it has none.
+func liuLink(parent, anc []int, r, i int) {
+	for anc[r] != -1 && anc[r] != i {
+		next := anc[r]
+		anc[r] = i
+		r = next
 	}
-	return &Tree{Parent: parent, rowPtr: ptr, rowInd: ind}
+	if anc[r] == -1 {
+		anc[r] = i
+		parent[r] = i
+	}
 }
 
 // N returns the number of columns.
@@ -80,8 +80,11 @@ func (t *Tree) N() int { return len(t.Parent) }
 // column in postorder (perm[new] = old semantics). Children are visited in
 // increasing column order, so a matrix already ordered by a fill-reducing
 // permutation keeps indistinguishable columns adjacent.
-func (t *Tree) Postorder() []int {
-	n := t.N()
+func (t *Tree) Postorder() []int { return Postorder(t.Parent) }
+
+// Postorder is Tree.Postorder on a parent array.
+func Postorder(parent []int) []int {
+	n := len(parent)
 	// Build child lists (sorted: iterate columns in decreasing order and
 	// prepend via head/next links, yielding increasing order on traversal).
 	head := make([]int, n)
@@ -90,26 +93,23 @@ func (t *Tree) Postorder() []int {
 		head[i] = -1
 	}
 	for j := n - 1; j >= 0; j-- {
-		if p := t.Parent[j]; p >= 0 {
+		if p := parent[j]; p >= 0 {
 			next[j] = head[p]
 			head[p] = j
 		}
 	}
 	po := make([]int, 0, n)
 	stack := make([]int, 0, 64)
-	state := make([]int, n) // next unvisited child
-	for i := range state {
-		state[i] = head[i]
-	}
 	for root := 0; root < n; root++ {
-		if t.Parent[root] != -1 {
+		if parent[root] != -1 {
 			continue
 		}
 		stack = append(stack, root)
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
-			if c := state[v]; c != -1 {
-				state[v] = next[c]
+			// head[v] is v's next unvisited child.
+			if c := head[v]; c != -1 {
+				head[v] = next[c]
 				stack = append(stack, c)
 			} else {
 				po = append(po, v)
@@ -120,28 +120,94 @@ func (t *Tree) Postorder() []int {
 	return po
 }
 
-// ColCounts returns, for each column j, the number of nonzeros of L(:,j)
-// including the diagonal. Computed by walking row subtrees (O(nnz(L))).
-func (t *Tree) ColCounts() []int {
-	n := t.N()
-	count := make([]int, n)
-	mark := make([]int, n)
-	for j := range count {
-		count[j] = 1
-		mark[j] = -1
+// Relabel returns the parent array of the same forest after node perm[k]
+// is renamed k (perm[new] = old), e.g. the elimination tree of a matrix
+// permuted by its own postorder.
+func Relabel(parent, perm []int) []int {
+	inv := make([]int, len(perm))
+	for k, v := range perm {
+		inv[v] = k
 	}
-	for i := 0; i < n; i++ {
-		mark[i] = i
-		for p := t.rowPtr[i]; p < t.rowPtr[i+1]; p++ {
-			r := t.rowInd[p]
-			for r != -1 && mark[r] != i {
-				count[r]++
-				mark[r] = i
-				r = t.Parent[r]
-			}
+	out := make([]int, len(perm))
+	for k, v := range perm {
+		out[k] = -1
+		if p := parent[v]; p >= 0 {
+			out[k] = inv[p]
 		}
 	}
-	return count
+	return out
+}
+
+// ColCounts returns, for each column j, the number of nonzeros of L(:,j)
+// including the diagonal (see the package function ColCounts).
+func (t *Tree) ColCounts() []int { return ColCounts(t.m, t.Parent, t.Postorder()) }
+
+// ColCounts returns |L(:,j)|, diagonal included, for the lower-triangular
+// CSC matrix m with elimination tree parent and a postorder post of that
+// tree, by the Gilbert–Ng–Peyton algorithm: in O(nnz(A)·α) time it finds,
+// for each entry A(i,j), whether j is a leaf of row i's subtree and where
+// consecutive leaves' paths meet, and sums those differences up the tree,
+// instead of walking every row subtree (O(nnz(L))).
+func ColCounts(m *sparse.Matrix, parent, post []int) []int {
+	n := m.N
+	delta := make([]int, n)
+	work := make([]int, 4*n)
+	first, maxFirst, prevLeaf, anc := work[:n], work[n:2*n], work[2*n:3*n], work[3*n:]
+	for j := 0; j < n; j++ {
+		first[j], maxFirst[j], prevLeaf[j], anc[j] = -1, -1, -1, j
+	}
+	// first[j] is the postorder index of j's first descendant; the first
+	// column of each leaf's path gets its diagonal counted.
+	for k, j := range post {
+		if first[j] == -1 {
+			delta[j] = 1
+		}
+		for ; j != -1 && first[j] == -1; j = parent[j] {
+			first[j] = k
+		}
+	}
+	for _, j := range post {
+		if p := parent[j]; p != -1 {
+			delta[p]--
+		}
+		for q := m.ColPtr[j]; q < m.ColPtr[j+1]; q++ {
+			i := m.RowInd[q]
+			// j is a leaf of row i's subtree iff no earlier descendant of
+			// j has an entry in row i.
+			if i <= j || first[j] <= maxFirst[i] {
+				continue
+			}
+			maxFirst[i] = first[j]
+			delta[j]++
+			prev := prevLeaf[i]
+			prevLeaf[i] = j
+			if prev == -1 {
+				continue // first leaf of row i's subtree
+			}
+			// The paths from prev and j to i meet at the least common
+			// ancestor of prev and j, counted once already.
+			lca := prev
+			for lca != anc[lca] {
+				lca = anc[lca]
+			}
+			for s := prev; s != lca; {
+				up := anc[s]
+				anc[s] = lca
+				s = up
+			}
+			delta[lca]--
+		}
+		if p := parent[j]; p != -1 {
+			anc[j] = p
+		}
+	}
+	// Parents carry larger labels than their children.
+	for j := 0; j < n; j++ {
+		if p := parent[j]; p != -1 {
+			delta[p] += delta[j]
+		}
+	}
+	return delta
 }
 
 // Depths returns the depth of every column in the elimination forest; roots

@@ -1,6 +1,7 @@
 package etree
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -235,5 +236,109 @@ func TestQuickColCounts(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// rowSubtreeCounts is the column count the package computed before
+// Gilbert–Ng–Peyton, kept as an oracle: for every row i it marks each
+// column on the etree paths from the columns of A(i,:) up to i, O(nnz(L)).
+func rowSubtreeCounts(m *sparse.Matrix, parent []int) []int {
+	n := m.N
+	rows := make([][]int, n)
+	for j := 0; j < n; j++ {
+		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+			if i := m.RowInd[p]; i != j {
+				rows[i] = append(rows[i], j)
+			}
+		}
+	}
+	count := make([]int, n)
+	mark := make([]int, n)
+	for j := range count {
+		count[j] = 1
+		mark[j] = -1
+	}
+	for i := 0; i < n; i++ {
+		mark[i] = i
+		for _, r := range rows[i] {
+			for ; r != -1 && mark[r] != i; r = parent[r] {
+				count[r]++
+				mark[r] = i
+			}
+		}
+	}
+	return count
+}
+
+// oracleMatrices are unpermuted, relabeled and postordered matrices: the
+// Gilbert–Ng–Peyton counts must not depend on the labeling.
+func oracleMatrices(t *testing.T) map[string]*sparse.Matrix {
+	t.Helper()
+	ms := matrices(t)
+	relabel := func(m *sparse.Matrix, seed int64) *sparse.Matrix {
+		pm, err := m.Permute(rand.New(rand.NewSource(seed)).Perm(m.N))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pm
+	}
+	ms["mesh2200"] = gen.IrregularMesh(2200, 9, 3, 31)
+	ms["mesh2200/relabel"] = relabel(ms["mesh2200"], 1)
+	ms["lp/relabel"] = relabel(gen.NormalEq(200, 4, 3, 20, 5), 2)
+	ms["grid/relabel"] = relabel(gen.Grid2D(20), 3)
+	post, err := ms["mesh2200/relabel"].Permute(Build(ms["mesh2200/relabel"]).Postorder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms["mesh2200/postordered"] = post
+	return ms
+}
+
+func TestColCountsMatchRowSubtrees(t *testing.T) {
+	for name, m := range oracleMatrices(t) {
+		tr := Build(m)
+		want := rowSubtreeCounts(m, tr.Parent)
+		got := tr.ColCounts()
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("%s: count[%d]=%d, want %d", name, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// PatternParent must give the tree Build gives on the permuted matrix,
+// and Relabel the tree of the matrix permuted again by a postorder.
+func TestPatternParentAndRelabel(t *testing.T) {
+	for name, m := range oracleMatrices(t) {
+		perm := rand.New(rand.NewSource(int64(m.N))).Perm(m.N)
+		pm, err := m.Permute(perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Build(pm).Parent
+		got := PatternParent(sparse.PatternOf(m), perm)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("%s: PatternParent[%d]=%d, want %d", name, j, got[j], want[j])
+			}
+		}
+		po := Postorder(got)
+		ppm, err := pm.Permute(po)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = Build(ppm).Parent
+		rel := Relabel(got, po)
+		for j := range want {
+			if rel[j] != want[j] {
+				t.Fatalf("%s: Relabel[%d]=%d, want %d", name, j, rel[j], want[j])
+			}
+		}
+		for k, v := range Postorder(rel) {
+			if v != k {
+				t.Fatalf("%s: postorder of a postordered tree moves %d to %d", name, v, k)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
@@ -158,19 +159,52 @@ func TestRecorderDisabledAllocs(t *testing.T) {
 	}
 }
 
-// TestRecorderDisabledOverhead is the CI overhead gate: it measures the
-// refactorization benchmark with no recorder and with an attached-but-
-// disabled recorder and fails if the gated path costs more than 2%.
-// Timing comparisons are noisy on shared runners, so the check only runs
-// when OBS_OVERHEAD_CHECK=1 (the dedicated CI step sets it); the
-// allocation half of the guarantee is covered unconditionally above.
-func TestRecorderDisabledOverhead(t *testing.T) {
-	if os.Getenv("OBS_OVERHEAD_CHECK") != "1" {
-		t.Skip("set OBS_OVERHEAD_CHECK=1 to run the timing comparison")
+// The overhead gate estimates what an attached-but-disabled recorder adds
+// to a factorization as (cost of one disabled Start/Record pair) × (pairs
+// per run) ÷ (run time). Each factor is measured where it is stable: the
+// pair in a tight loop, keeping the fastest of several loops (noise only
+// ever adds time); the pair count from an enabled recording of one run;
+// the run time as a median. Comparing whole runs with and without the
+// recorder instead asks a 2% question of run times that spread by more
+// than 2% on a shared host. The estimate leaves out indirect effects of
+// the compiled-in gate, such as code size in the kernels' callers.
+
+// overheadBudget is the gate's limit on the disabled recorder's share of
+// a factorization.
+const overheadBudget = 0.02
+
+// callNs returns the cost in nanoseconds of one call of op: the fastest of
+// several timed loops, less the same loop over an empty call.
+func callNs(op func(i int)) float64 {
+	loop := func(f func(int)) float64 {
+		const n = 1 << 15
+		best := math.Inf(1)
+		for rep := 0; rep < 9; rep++ {
+			t0 := time.Now()
+			for i := 0; i < n; i++ {
+				f(i)
+			}
+			if d := float64(time.Since(t0).Nanoseconds()) / n; d < best {
+				best = d
+			}
+		}
+		return best
 	}
-	// A 1×1 grid runs every block operation on one goroutine: the gate's
-	// per-operation cost is measured directly, without goroutine-scheduling
-	// variance swamping the 2% budget.
+	return math.Max(0, loop(op)-loop(func(int) {}))
+}
+
+// overheadRun is the factorization the gate prices the recorder against.
+type overheadRun struct {
+	ex    *Executor
+	spans int     // Start/Record pairs one run executes
+	runNs float64 // median run time without a recorder
+}
+
+// newOverheadRun builds the gate's factorization on a 1×1 grid, so every
+// block operation runs on one goroutine without scheduling variance, and
+// measures its pairs per run and run time.
+func newOverheadRun(t *testing.T) overheadRun {
+	t.Helper()
 	_, bs, pm := setup(t, gen.IrregularMesh(600, 7, 3, 57), ord.MinDegree, 0, 16)
 	pr := sched.Build(bs, sched.Assignment{Map: mapping.Cyclic(mapping.Grid{Pr: 1, Pc: 1}, bs.N())})
 	f, err := numeric.New(bs, pm)
@@ -178,55 +212,100 @@ func TestRecorderDisabledOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := NewExecutor(f, pr)
-
-	cycle := func() {
+	run := func() time.Duration {
 		if err := f.Reload(pm.Val); err != nil {
 			t.Fatal(err)
 		}
+		t0 := time.Now()
 		if _, err := ex.Run(); err != nil {
 			t.Fatal(err)
 		}
+		return time.Since(t0)
 	}
-	// Calibrate a ~50ms measurement slice, then time many short slices
-	// alternating between the two variants and keep each variant's
-	// fastest. Short interleaved slices with min-tracking cancel the slow
-	// clock-frequency drift that back-to-back one-second benchmark blocks
-	// cannot.
-	cycle()
-	t0 := time.Now()
-	cycle()
-	per := time.Since(t0)
-	n := int(50*time.Millisecond/per) + 1
-	slice := func(attach bool) float64 {
-		if attach {
-			ex.NewRecorder()
-		} else {
-			ex.SetRecorder(nil)
-		}
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			cycle()
-		}
-		return float64(time.Since(start).Nanoseconds()) / float64(n)
+	rec := ex.NewMeasureRecorder()
+	rec.Enable()
+	run()
+	spans := len(rec.Spans()) + int(rec.Dropped())
+	ex.SetRecorder(nil)
+	if spans == 0 {
+		t.Fatal("an enabled recording of one run holds no spans")
 	}
-	base, gated := math.Inf(1), math.Inf(1)
-	for rep := 0; rep < 24; rep++ {
-		attachFirst := rep%2 == 0
-		if v := slice(attachFirst); attachFirst && v < gated {
-			gated = v
-		} else if !attachFirst && v < base {
-			base = v
-		}
-		if v := slice(!attachFirst); attachFirst && v < base {
-			base = v
-		} else if !attachFirst && v < gated {
-			gated = v
-		}
+	times := make([]float64, 15)
+	for i := range times {
+		times[i] = float64(run().Nanoseconds())
 	}
-	ratio := gated / base
-	t.Logf("baseline %.0f ns/op, disabled recorder %.0f ns/op, ratio %.4f", base, gated, ratio)
-	if ratio > 1.02 {
-		t.Fatalf("disabled recorder costs %.2f%% (> 2%%)", (ratio-1)*100)
+	sort.Float64s(times)
+	return overheadRun{ex: ex, spans: spans, runNs: times[len(times)/2]}
+}
+
+// share is the estimated fraction of a run that a call costing callNs
+// adds when executed once per span.
+func (o overheadRun) share(callNs float64) float64 {
+	return callNs * float64(o.spans) / o.runNs
+}
+
+// disabledCall is one Start/Record pair on an attached recorder, as the
+// executor issues it around every block operation.
+func (o overheadRun) disabledCall() func(i int) {
+	rec := o.ex.NewRecorder() // attached, never enabled
+	return func(i int) {
+		t0 := rec.Start()
+		rec.Record(0, obs.OpBMOD, int32(i), -1, t0)
+	}
+}
+
+// TestRecorderDisabledOverhead is the CI overhead gate: the disabled
+// recorder may cost at most 2% of a factorization. Timings need a quiet
+// host, so the check only runs when OBS_OVERHEAD_CHECK=1 (the dedicated CI
+// step sets it); the allocation half of the guarantee is covered
+// unconditionally above.
+func TestRecorderDisabledOverhead(t *testing.T) {
+	if os.Getenv("OBS_OVERHEAD_CHECK") != "1" {
+		t.Skip("set OBS_OVERHEAD_CHECK=1 to run the timing comparison")
+	}
+	o := newOverheadRun(t)
+	ns := callNs(o.disabledCall())
+	share := o.share(ns)
+	t.Logf("%d spans per run, run %.0f µs, disabled call %.2f ns: share %.4f%%",
+		o.spans, o.runNs/1e3, ns, share*100)
+	if share > overheadBudget {
+		t.Fatalf("disabled recorder costs %.2f%% of a factorization (> %.0f%%)", share*100, overheadBudget*100)
+	}
+}
+
+// TestRecorderDisabledOverheadDetectsInjected shows the gate's estimator
+// fails a recorder call made 5% of a run more expensive: the disabled call
+// plus a spin loop sized, from its own measured cost, to 5% of the run
+// time spread over the run's spans. Its calibration and measurement are
+// timed at different moments, so like the gate it runs only when
+// OBS_OVERHEAD_CHECK=1.
+func TestRecorderDisabledOverheadDetectsInjected(t *testing.T) {
+	if os.Getenv("OBS_OVERHEAD_CHECK") != "1" {
+		t.Skip("set OBS_OVERHEAD_CHECK=1 to run the timing comparison")
+	}
+	o := newOverheadRun(t)
+	var sink uint64
+	spin := func(k int) {
+		x := sink
+		for j := 0; j < k; j++ {
+			x = x*6364136223846793005 + 1442695040888963407
+		}
+		sink = x
+	}
+	const calib = 1024
+	perIter := callNs(func(int) { spin(calib) }) / calib
+	if perIter <= 0 {
+		t.Fatal("spin loop measured no time")
+	}
+	k := int(math.Ceil(0.05 * o.runNs / float64(o.spans) / perIter))
+	call := o.disabledCall()
+	share := o.share(callNs(func(i int) {
+		call(i)
+		spin(k)
+	}))
+	t.Logf("injected %d spin iterations (%.1f ns) per call: estimated share %.2f%%", k, float64(k)*perIter, share*100)
+	if share <= overheadBudget {
+		t.Fatalf("estimator passed an injected 5%% overhead: share %.2f%% ≤ %.0f%%", share*100, overheadBudget*100)
 	}
 }
 

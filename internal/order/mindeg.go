@@ -1,6 +1,11 @@
 package order
 
-import "blockfanout/internal/sparse"
+import (
+	"math"
+	"math/bits"
+
+	"blockfanout/internal/sparse"
+)
 
 // MinDeg computes a minimum-degree ordering of the symmetric pattern using
 // a quotient graph with external degrees, element absorption, and mass
@@ -28,14 +33,14 @@ func minDeg(p *sparse.Pattern, approx bool) Permutation {
 		return Permutation{}
 	}
 	md := newMinDegState(p)
-	md.approx = approx
 	for md.eliminated < n {
-		md.eliminateOne()
+		md.eliminateOne(approx)
 	}
 	perm := make(Permutation, 0, n)
 	for _, piv := range md.elimSeq {
-		perm = append(perm, piv)
-		perm = append(perm, md.members[piv]...)
+		for v := piv; v >= 0; v = md.mnext[v] {
+			perm = append(perm, v)
+		}
 	}
 	return perm
 }
@@ -50,34 +55,42 @@ const (
 type minDegState struct {
 	n     int
 	state []byte
-	w     []int   // supervariable weights
+	// w holds supervariable weights, and 0 for every dead variable and
+	// every element, so the exact degree sums weights without testing
+	// state.
+	w     []int
 	adjV  [][]int // var → adjacent vars (lazily cleaned)
 	adjE  [][]int // var → adjacent elements (lazily cleaned)
 	evars [][]int // element → member variables (may contain dead vars)
 	deg   []int
-	mbrs  int
-	// members[rep] lists original vertices merged into rep, flattened.
-	members [][]int
+	// mnext chains the original vertices merged into a supervariable,
+	// starting at its representative; mtail is the chain's last vertex.
+	mnext   []int
+	mtail   []int
 	elimSeq []int
 	// degree buckets: doubly-linked lists threaded through dnext/dprev.
 	dhead  []int
 	dnext  []int
 	dprev  []int
 	minDeg int
-	// mark generations
-	markLp []int // membership in the current pivot's Lp
+	// markLp[v] is genLp while v is in the current pivot's Lp, and the
+	// largest int once v is dead or an element, so markLp[v] < genLp
+	// tests "alive and not yet in Lp" in one comparison.
+	markLp []int
 	genLp  int
 	mark2  []int // scratch for degree computation / set comparison
 	gen2   int
 
 	eliminated int
-	lpBuf      []int
-	hashBuf    []uint64
+	lpBuf      []int    // n slots: Lp is written before it is known to grow
+	lpHash     []uint64 // set-hash of the Lp member at the same position
+	// slab is the tail of the storage element variable lists are cut
+	// from, so creating an element does not allocate.
+	slab []int
 
-	// approx switches the degree update to the AMD-style upper bound;
-	// eweight[e] caches |Le| (by weight) at element creation.
-	approx  bool
-	eweight []int64
+	// eweight[e] caches |Le| (by weight) at element creation, for the
+	// AMD-style upper-bound degree.
+	eweight []int
 }
 
 func newMinDegState(p *sparse.Pattern) *minDegState {
@@ -90,22 +103,35 @@ func newMinDegState(p *sparse.Pattern) *minDegState {
 		adjE:    make([][]int, n),
 		evars:   make([][]int, n),
 		deg:     make([]int, n),
-		members: make([][]int, n),
+		mnext:   make([]int, n),
+		mtail:   make([]int, n),
+		elimSeq: make([]int, 0, n),
 		dhead:   make([]int, n+1),
 		dnext:   make([]int, n),
 		dprev:   make([]int, n),
 		markLp:  make([]int, n),
 		mark2:   make([]int, n),
-		hashBuf: make([]uint64, n),
-		eweight: make([]int64, n),
+		lpBuf:   make([]int, n),
+		lpHash:  make([]uint64, n),
+		eweight: make([]int, n),
 	}
 	for d := range md.dhead {
 		md.dhead[d] = -1
 	}
+	// Variable lists are only ever filtered in place, so they can share
+	// one copy of the pattern; element lists start with room for a few
+	// elements in one shared slab.
+	adj := append([]int(nil), p.RowInd...)
+	const elemRoom = 8
+	eslab := make([]int, elemRoom*n)
 	for i := 0; i < n; i++ {
+		lo, hi := p.ColPtr[i], p.ColPtr[i+1]
 		md.w[i] = 1
-		md.adjV[i] = append([]int(nil), p.Adj(i)...)
-		md.deg[i] = len(md.adjV[i])
+		md.mnext[i] = -1
+		md.mtail[i] = i
+		md.adjV[i] = adj[lo:hi:hi]
+		md.adjE[i] = eslab[elemRoom*i : elemRoom*i : elemRoom*(i+1)]
+		md.deg[i] = hi - lo
 		md.bucketInsert(i)
 	}
 	md.minDeg = 0
@@ -150,7 +176,33 @@ func (md *minDegState) pickMin() int {
 	}
 }
 
-func (md *minDegState) eliminateOne() {
+// newElement stores lp as a new element's variable list.
+func (md *minDegState) newElement(lp []int) []int {
+	if cap(md.slab)-len(md.slab) < len(lp) {
+		md.slab = make([]int, 0, max(2*cap(md.slab), 4*len(lp), 1024))
+	}
+	lo := len(md.slab)
+	md.slab = append(md.slab, lp...)
+	return md.slab[lo:len(md.slab):len(md.slab)]
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch, which lets list compactions run branch-free.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
+}
+
+// unmarked returns an all-ones mask when mark is below gen and zero
+// otherwise, so a sum can skip marked entries without branching.
+func unmarked(mark, gen int) int {
+	return (mark - gen) >> (bits.UintSize - 1)
+}
+
+func (md *minDegState) eliminateOne(approx bool) {
 	p := md.pickMin()
 	md.bucketRemove(p)
 
@@ -158,38 +210,40 @@ func (md *minDegState) eliminateOne() {
 	// absorb all elements adjacent to p.
 	md.genLp++
 	g := md.genLp
-	md.markLp[p] = g
-	lp := md.lpBuf[:0]
+	markLp := md.markLp
+	markLp[p] = math.MaxInt
+	lp, k := md.lpBuf, 0
 	for _, v := range md.adjV[p] {
-		if md.state[v] == mdVar && md.markLp[v] != g {
-			md.markLp[v] = g
-			lp = append(lp, v)
-		}
+		m := markLp[v]
+		lp[k] = v
+		k += b2i(m < g)
+		markLp[v] = max(m, g)
 	}
 	for _, e := range md.adjE[p] {
 		if md.state[e] != mdElem {
 			continue
 		}
 		for _, v := range md.evars[e] {
-			if md.state[v] == mdVar && md.markLp[v] != g {
-				md.markLp[v] = g
-				lp = append(lp, v)
-			}
+			m := markLp[v]
+			lp[k] = v
+			k += b2i(m < g)
+			markLp[v] = max(m, g)
 		}
 		md.state[e] = mdDeadElem
 		md.evars[e] = nil
 	}
-	md.lpBuf = lp
+	lp = lp[:k]
 
 	md.state[p] = mdElem
-	md.evars[p] = append([]int(nil), lp...)
+	md.evars[p] = md.newElement(lp)
 	md.adjV[p] = nil
 	md.adjE[p] = nil
 	md.elimSeq = append(md.elimSeq, p)
 	md.eliminated += md.w[p]
-	var lpWeight int64
+	md.w[p] = 0
+	lpWeight := 0
 	for _, v := range lp {
-		lpWeight += int64(md.w[v])
+		lpWeight += md.w[v]
 	}
 	md.eweight[p] = lpWeight
 
@@ -198,81 +252,100 @@ func (md *minDegState) eliminateOne() {
 	// by p (i.e. other Lp members).
 	for _, i := range lp {
 		md.bucketRemove(i)
-		ne := md.adjE[i][:0]
-		for _, e := range md.adjE[i] {
-			if md.state[e] == mdElem {
-				ne = append(ne, e)
-			}
+		ae, k := md.adjE[i], 0
+		for _, e := range ae {
+			ae[k] = e
+			k += b2i(md.state[e] == mdElem)
 		}
-		md.adjE[i] = append(ne, p)
-		nv := md.adjV[i][:0]
-		for _, v := range md.adjV[i] {
-			if md.state[v] == mdVar && md.markLp[v] != g {
-				nv = append(nv, v)
-			}
+		md.adjE[i] = append(ae[:k], p)
+		av, k := md.adjV[i], 0
+		for _, v := range av {
+			av[k] = v
+			k += b2i(markLp[v] < g)
 		}
-		md.adjV[i] = nv
+		md.adjV[i] = av[:k]
 	}
 
 	// Recompute external degrees (exact, or the AMD-style upper bound)
-	// and set-hashes for Lp members.
-	for _, i := range lp {
+	// and set-hashes for Lp members. Every Lp member is adjacent to the
+	// new element p, whose variables are exactly Lp, so the exact degree
+	// of i is W(Lp) − w(i) plus the weight of the variables outside Lp
+	// that adjV(i) and i's other elements reach. Lp members carry the
+	// largest mark while the degrees are summed, which excludes them from
+	// every sum (marks only ever rise); each weight is added under a mark
+	// mask instead of a branch, and dead variables and elements weigh 0.
+	w, mark := md.w, md.mark2
+	for _, v := range lp {
+		mark[v] = math.MaxInt
+	}
+	for a, i := range lp {
 		md.gen2++
-		md.mark2[i] = md.gen2
-		d := int64(0)
+		gen := md.gen2
+		d := 0
 		var h uint64
 		for _, v := range md.adjV[i] {
-			if md.mark2[v] != md.gen2 {
-				md.mark2[v] = md.gen2
-				d += int64(md.w[v])
-			}
+			d += w[v] & unmarked(mark[v], gen)
+			mark[v] = gen
 			h += uint64(v)*0x9e3779b97f4a7c15 + 1
 		}
-		for _, e := range md.adjE[i] {
+		adjE := md.adjE[i]
+		for _, e := range adjE {
 			h += uint64(e)*0xc2b2ae3d27d4eb4f + 3
-			if md.approx {
-				// Upper bound: element weights summed without
-				// deduplicating shared variables; each element's list
-				// contains i itself, which external degree excludes.
-				d += md.eweight[e] - int64(md.w[i])
-				continue
+		}
+		if approx {
+			// Upper bound: element weights summed without deduplicating
+			// shared variables; each element's list contains i itself,
+			// which external degree excludes.
+			for _, e := range adjE {
+				d += md.eweight[e] - w[i]
 			}
-			for _, v := range md.evars[e] {
-				if md.state[v] == mdVar && md.mark2[v] != md.gen2 {
-					md.mark2[v] = md.gen2
-					d += int64(md.w[v])
+		} else {
+			// adjE(i) ends with p (appended above).
+			d += lpWeight - w[i]
+			for _, e := range adjE[:len(adjE)-1] {
+				for _, v := range md.evars[e] {
+					m := mark[v]
+					d += w[v] & unmarked(m, gen)
+					mark[v] = max(m, gen)
 				}
 			}
 		}
-		if max := int64(md.n - md.eliminated - md.w[i]); d > max {
+		if max := md.n - md.eliminated - w[i]; d > max {
 			d = max
 		}
 		if d < 0 {
 			d = 0
 		}
-		md.deg[i] = int(d)
-		md.hashBuf[i] = h ^ uint64(len(md.adjV[i]))<<32 ^ uint64(len(md.adjE[i]))
+		md.deg[i] = d
+		md.lpHash[a] = h ^ uint64(len(md.adjV[i]))<<32 ^ uint64(len(adjE))
+	}
+	for _, v := range lp {
+		mark[v] = 0
 	}
 
 	// Mass elimination: merge indistinguishable Lp members. Group by
 	// hash, verify exactly, merge j into i.
-	for a := 0; a < len(lp); a++ {
-		i := lp[a]
+	hs := md.lpHash[:len(lp)]
+	for a, i := range lp {
 		if md.state[i] != mdVar {
 			continue
 		}
-		for b := a + 1; b < len(lp); b++ {
+		for b := a + 1; b < len(hs); b++ {
+			if hs[b] != hs[a] {
+				continue
+			}
 			j := lp[b]
-			if md.state[j] != mdVar || md.hashBuf[i] != md.hashBuf[j] {
+			if md.state[j] != mdVar {
 				continue
 			}
 			if md.indistinguishable(i, j) {
 				md.w[i] += md.w[j]
 				md.deg[i] -= md.w[j]
+				md.w[j] = 0
+				markLp[j] = math.MaxInt
 				md.state[j] = mdDeadVar
-				md.members[i] = append(md.members[i], j)
-				md.members[i] = append(md.members[i], md.members[j]...)
-				md.members[j] = nil
+				md.mnext[md.mtail[i]] = j
+				md.mtail[i] = md.mtail[j]
 				md.adjV[j] = nil
 				md.adjE[j] = nil
 			}

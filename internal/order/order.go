@@ -118,29 +118,35 @@ func (m Method) String() string {
 // Compute runs the requested ordering. gridDim is required for the
 // geometric methods (the grid side length k) and ignored otherwise.
 func Compute(m Method, a *sparse.Matrix, gridDim int) (Permutation, error) {
+	return ComputePattern(m, sparse.PatternOf(a), gridDim)
+}
+
+// ComputePattern is Compute for a caller that already holds the matrix's
+// graph (sparse.PatternOf).
+func ComputePattern(m Method, p *sparse.Pattern, gridDim int) (Permutation, error) {
 	switch m {
 	case Natural:
-		return Identity(a.N), nil
+		return Identity(p.N), nil
 	case NDGrid2D:
-		if gridDim*gridDim != a.N {
-			return nil, fmt.Errorf("order: NDGrid2D dim %d² != n=%d", gridDim, a.N)
+		if gridDim*gridDim != p.N {
+			return nil, fmt.Errorf("order: NDGrid2D dim %d² != n=%d", gridDim, p.N)
 		}
 		return NestedDissection2D(gridDim), nil
 	case NDCube3D:
-		if gridDim*gridDim*gridDim != a.N {
-			return nil, fmt.Errorf("order: NDCube3D dim %d³ != n=%d", gridDim, a.N)
+		if gridDim*gridDim*gridDim != p.N {
+			return nil, fmt.Errorf("order: NDCube3D dim %d³ != n=%d", gridDim, p.N)
 		}
 		return NestedDissection3D(gridDim), nil
 	case NDGraph:
-		return GraphND(sparse.PatternOf(a)), nil
+		return GraphND(p), nil
 	case MinDegree:
-		return MinDeg(sparse.PatternOf(a)), nil
+		return MinDeg(p), nil
 	case CuthillMcKee:
-		return RCM(sparse.PatternOf(a)), nil
+		return RCM(p), nil
 	case NDHybrid:
-		return HybridND(sparse.PatternOf(a)), nil
+		return HybridND(p), nil
 	case MinDegreeApprox:
-		return MinDegApprox(sparse.PatternOf(a)), nil
+		return MinDegApprox(p), nil
 	}
 	return nil, fmt.Errorf("order: unknown method %v", m)
 }

@@ -183,6 +183,35 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 	return y
 }
 
+// LowerRows returns row access to the strict lower triangle: row i's
+// columns j < i with A(i,j) ≠ 0 are ind[ptr[i]:ptr[i+1]], ascending. It is
+// one counting transpose, O(n + nnz).
+func (m *Matrix) LowerRows() (ptr, ind []int) {
+	n := m.N
+	ptr = make([]int, n+1)
+	for j := 0; j < n; j++ {
+		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+			if i := m.RowInd[p]; i > j {
+				ptr[i+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	ind = make([]int, ptr[n])
+	next := append([]int(nil), ptr[:n]...)
+	for j := 0; j < n; j++ {
+		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+			if i := m.RowInd[p]; i > j {
+				ind[next[i]] = j
+				next[i]++
+			}
+		}
+	}
+	return ptr, ind
+}
+
 // Pattern is the adjacency structure of a symmetric matrix: for each column
 // j, the sorted row indices of off-diagonal nonzeros in BOTH triangles
 // (i.e. the graph neighbourhood of vertex j). The diagonal is excluded.
@@ -347,71 +376,70 @@ func (m *Matrix) permute(perm []int, withMap bool) (*Matrix, []int, error) {
 		seen[old] = true
 		inv[old] = newIdx
 	}
-	counts := make([]int, n+1)
+	// A counting transpose done twice sorts without comparisons: the
+	// first pass buckets every entry by its new row in any order, the
+	// second walks those rows in increasing order and appends each entry
+	// to its new column, so every column receives its rows sorted.
+	nnz := m.NNZ()
+	rowPtr := make([]int, n+1)
+	colPtr := make([]int, n+1)
 	for j := 0; j < n; j++ {
+		nj := inv[j]
 		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			i := m.RowInd[p]
-			ni, nj := inv[i], inv[j]
-			if ni < nj {
-				ni, nj = nj, ni
+			r, c := inv[m.RowInd[p]], nj
+			if r < c {
+				r, c = c, r
 			}
-			counts[nj+1]++
+			rowPtr[r+1]++
+			colPtr[c+1]++
 		}
 	}
 	for j := 0; j < n; j++ {
-		counts[j+1] += counts[j]
+		rowPtr[j+1] += rowPtr[j]
+		colPtr[j+1] += colPtr[j]
 	}
+	// Pass 1: the new column and source position of each entry, by row.
+	tcol := make([]int, nnz)
+	tsrc := make([]int, nnz)
+	next := append([]int(nil), rowPtr[:n]...)
+	for j := 0; j < n; j++ {
+		nj := inv[j]
+		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
+			r, c := inv[m.RowInd[p]], nj
+			if r < c {
+				r, c = c, r
+			}
+			q := next[r]
+			next[r]++
+			tcol[q] = c
+			tsrc[q] = p
+		}
+	}
+	// Pass 2: rows in increasing order into their columns.
 	b := &Matrix{
 		N:      n,
-		ColPtr: counts,
-		RowInd: make([]int, m.NNZ()),
-		Val:    make([]float64, m.NNZ()),
+		ColPtr: colPtr,
+		RowInd: make([]int, nnz),
+		Val:    make([]float64, nnz),
 	}
 	var vmap []int
 	if withMap {
-		vmap = make([]int, m.NNZ())
+		vmap = make([]int, nnz)
 	}
-	next := append([]int(nil), counts[:n]...)
-	for j := 0; j < n; j++ {
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			i := m.RowInd[p]
-			ni, nj := inv[i], inv[j]
-			if ni < nj {
-				ni, nj = nj, ni
-			}
-			q := next[nj]
-			next[nj]++
-			b.RowInd[q] = ni
-			b.Val[q] = m.Val[p]
+	copy(next, colPtr[:n])
+	for r := 0; r < n; r++ {
+		for q := rowPtr[r]; q < rowPtr[r+1]; q++ {
+			c, src := tcol[q], tsrc[q]
+			d := next[c]
+			next[c]++
+			b.RowInd[d] = r
+			b.Val[d] = m.Val[src]
 			if withMap {
-				vmap[q] = p
+				vmap[d] = src
 			}
-		}
-	}
-	for j := 0; j < n; j++ {
-		lo, hi := b.ColPtr[j], b.ColPtr[j+1]
-		if withMap {
-			sort.Sort(&rowValMapSort{b.RowInd[lo:hi], b.Val[lo:hi], vmap[lo:hi]})
-		} else {
-			sort.Sort(&rowValSort{b.RowInd[lo:hi], b.Val[lo:hi]})
 		}
 	}
 	return b, vmap, nil
-}
-
-// rowValMapSort co-sorts (rows, vals, vmap) by row.
-type rowValMapSort struct {
-	rows []int
-	vals []float64
-	vmap []int
-}
-
-func (s *rowValMapSort) Len() int           { return len(s.rows) }
-func (s *rowValMapSort) Less(i, j int) bool { return s.rows[i] < s.rows[j] }
-func (s *rowValMapSort) Swap(i, j int) {
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
-	s.vmap[i], s.vmap[j] = s.vmap[j], s.vmap[i]
 }
 
 // ResidualNorm returns ‖A·x − b‖∞, a convergence check for solvers.

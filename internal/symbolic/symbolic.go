@@ -11,7 +11,6 @@ package symbolic
 
 import (
 	"fmt"
-	"sort"
 
 	"blockfanout/internal/etree"
 	"blockfanout/internal/sparse"
@@ -76,8 +75,7 @@ type Structure struct {
 	Parent  []int   // supernode elimination forest (-1 for roots)
 	Depth   []int   // supernode depth in that forest (roots at 0)
 
-	Tree      *etree.Tree // column elimination tree
-	ColCounts []int       // exact per-column counts of L (pre-amalgamation)
+	ColCounts []int // exact per-column counts of L (pre-amalgamation)
 }
 
 // NNZ returns the number of stored factor entries implied by the (possibly
@@ -108,15 +106,25 @@ func (st *Structure) Flops() int64 {
 
 // Analyze runs the symbolic phase on a permuted, postordered matrix.
 func Analyze(m *sparse.Matrix, cfg AmalgamationConfig) (*Structure, error) {
-	t := etree.Build(m)
-	counts := t.ColCounts()
-	sn := fundamental(t.Parent, counts)
-	sn = amalgamate(sn, t.Parent, counts, cfg)
+	return AnalyzeTree(m, etree.Build(m).Parent, cfg)
+}
+
+// AnalyzeTree is Analyze for a caller that already holds m's elimination
+// tree (parent[j] = etree parent of column j, -1 for roots). It runs in
+// about O(nnz(A) + Σ|Rows|): Gilbert–Ng–Peyton column counts, supernode
+// detection and amalgamation, then one sweep over the rows that builds
+// every supernode's row set already sorted.
+func AnalyzeTree(m *sparse.Matrix, parent []int, cfg AmalgamationConfig) (*Structure, error) {
+	if len(parent) != m.N {
+		return nil, fmt.Errorf("symbolic: elimination tree has %d columns, matrix %d", len(parent), m.N)
+	}
+	counts := etree.ColCounts(m, parent, etree.Postorder(parent))
+	sn := fundamental(parent, counts)
+	sn = amalgamate(sn, parent, counts, cfg)
 	st := &Structure{
 		N:         m.N,
 		Snodes:    sn,
 		SnodeOf:   make([]int, m.N),
-		Tree:      t,
 		ColCounts: counts,
 	}
 	for i, s := range sn {
@@ -124,9 +132,7 @@ func Analyze(m *sparse.Matrix, cfg AmalgamationConfig) (*Structure, error) {
 			st.SnodeOf[j] = i
 		}
 	}
-	if err := st.buildRows(m); err != nil {
-		return nil, err
-	}
+	st.buildRows(m)
 	st.Depth = make([]int, len(sn))
 	for s := len(sn) - 1; s >= 0; s-- {
 		if p := st.Parent[s]; p >= 0 {
@@ -209,54 +215,58 @@ func amalgamate(sns []Supernode, parent, counts []int, cfg AmalgamationConfig) [
 	return out
 }
 
-// buildRows computes each supernode's below-diagonal row set bottom-up: the
-// union of its columns' A-structure with the (truncated) row sets of its
-// children in the supernode forest. The forest parent of s is the supernode
-// containing s's smallest below-diagonal row, which guarantees every block
-// update's destination block exists (see DESIGN.md).
-func (st *Structure) buildRows(m *sparse.Matrix) error {
-	ns := len(st.Snodes)
-	st.Rows = make([][]int, ns)
+// buildRows computes each supernode's below-diagonal row set and the
+// supernode forest. Row i of the (relaxed) factor reaches supernode s when
+// some column j < i of A(i,:) lies in s or in a descendant of s, and i lies
+// beyond s's columns: the row subtree of i, walked over the supernode
+// forest. The forest parent of s is the supernode containing s's smallest
+// row, which guarantees every block update's destination block exists (see
+// DESIGN.md). Sweeping the rows in increasing order appends each row set
+// already sorted, and the first row a supernode receives fixes its parent
+// before any walk needs it. The sweep runs twice, to count and then to
+// fill one slab.
+func (st *Structure) buildRows(m *sparse.Matrix) {
+	n, ns := st.N, len(st.Snodes)
+	ptr, ind := m.LowerRows()
+
 	st.Parent = make([]int, ns)
-	children := make([][]int, ns)
-	mark := make([]int, st.N)
-	for i := range mark {
-		mark[i] = -1
+	mark := make([]int, ns)
+	off := make([]int, ns+1)
+	for s := range mark {
+		st.Parent[s] = -1
+		mark[s] = -1
 	}
-	var buf []int
+	// sweep calls visit(s, i) for every supernode s whose row set holds
+	// row i, rows in increasing order.
+	sweep := func(visit func(s, i int)) {
+		for i := 0; i < n; i++ {
+			si := st.SnodeOf[i]
+			for _, j := range ind[ptr[i]:ptr[i+1]] {
+				for s := st.SnodeOf[j]; s != si && mark[s] != i; s = st.Parent[s] {
+					mark[s] = i
+					visit(s, i)
+				}
+			}
+		}
+	}
+	sweep(func(s, i int) {
+		if off[s+1] == 0 {
+			st.Parent[s] = st.SnodeOf[i]
+		}
+		off[s+1]++
+	})
 	for s := 0; s < ns; s++ {
-		sn := st.Snodes[s]
-		last := sn.Last()
-		buf = buf[:0]
-		for j := sn.First; j <= last; j++ {
-			for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-				if r := m.RowInd[p]; r > last && mark[r] != s {
-					mark[r] = s
-					buf = append(buf, r)
-				}
-			}
-		}
-		for _, c := range children[s] {
-			for _, r := range st.Rows[c] {
-				if r > last && mark[r] != s {
-					mark[r] = s
-					buf = append(buf, r)
-				}
-			}
-		}
-		rows := append([]int(nil), buf...)
-		sort.Ints(rows)
-		st.Rows[s] = rows
-		if len(rows) == 0 {
-			st.Parent[s] = -1
-			continue
-		}
-		p := st.SnodeOf[rows[0]]
-		if p <= s {
-			return fmt.Errorf("symbolic: supernode %d has non-ancestor parent %d", s, p)
-		}
-		st.Parent[s] = p
-		children[p] = append(children[p], s)
+		off[s+1] += off[s]
+		mark[s] = -1
 	}
-	return nil
+	slab := make([]int, off[ns])
+	fill := append([]int(nil), off[:ns]...)
+	sweep(func(s, i int) {
+		slab[fill[s]] = i
+		fill[s]++
+	})
+	st.Rows = make([][]int, ns)
+	for s := range st.Rows {
+		st.Rows[s] = slab[off[s]:off[s+1]:off[s+1]]
+	}
 }
